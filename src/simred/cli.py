@@ -1,6 +1,7 @@
 """Command line interface: compute simulations, reduce, generate, benchmark.
 
-Exit codes: 0 success, 2 parse error, 3 semantic input error, 4 bad
+Exit codes: 0 success, 2 parse error (including input that is not UTF-8),
+3 semantic input error or a file that cannot be read or written, 4 bad
 parameters.  Relation/structure output goes to stdout (or --output);
 metrics go to a separate file so the main output stays pipe-clean.
 """
@@ -47,14 +48,23 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise _CliError(EXIT_SEMANTIC, f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _CliError(EXIT_PARSE, f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _CliError(EXIT_SEMANTIC, f"cannot write {path}: {exc}") from exc
 
 
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(output, text)
 
 
 def _load_lts(path: str) -> Lts:
@@ -87,9 +97,7 @@ def _load_initial(lts: Lts, args) -> StateRelation:
 def _write_metrics(path: str | None, entries: dict) -> None:
     if path is None:
         return
-    lines = "".join(f"{k}={v}\n" for k, v in entries.items())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(lines)
+    _write(path, "".join(f"{k}={v}\n" for k, v in entries.items()))
 
 
 def _blocks_text(pair: PartitionRelationPair, names) -> str:

@@ -7,6 +7,14 @@ optimized variant first refines the initial pair by the output preorder,
 keeps Remove sets and counters only for symbols entering a block, restricts
 them to states that can emit the symbol, and never schedules the rest.
 
+Each loop iteration takes one pending (block B, symbol a) Remove set, splits
+the partition so that Remove is a union of blocks D, cuts every relation
+pair (C, D) with C holding an a-predecessor of B, and decrements the
+counters of each cut C.  The decrements are grouped by (C, b): all cut D
+blocks that symbol b enters update C's b-counters in one step, followed by
+one zero scan and one Remove-set update, which leaves the scheduling order
+and every counter metric as they are with one update per (C, D, b).
+
 The two restrictions and the output-preorder initialization can be toggled
 independently (they are result-preserving one by one), which is what
 :func:`run_engine` exposes; :func:`lrt` and :func:`olrt` are the two named
@@ -337,10 +345,6 @@ class EngineState:
 
     # -- the loop -----------------------------------------------------------
 
-    @property
-    def done(self) -> bool:
-        return not any(self._pending[bid] for bid in set(self._stack))
-
     def step(self) -> bool:
         """Process one pending (block, symbol) Remove set.
 
@@ -380,7 +384,7 @@ class EngineState:
         owners = owners[order]
         uniq, starts, counts = np.unique(owners, return_index=True, return_counts=True)
         full = counts == self._bsize[uniq]
-        d_blocks = [int(b) for b in uniq[full]]  # blocks fully inside: child equals parent
+        d_blocks = uniq[full].tolist()  # blocks fully inside: child equals parent
         metrics = self.metrics
         for pos in np.flatnonzero(~full):
             pb = int(uniq[pos])
@@ -389,10 +393,10 @@ class EngineState:
             mem = self._members[pb]
             nid = self._new_block()
             metrics.splits += 1
-            keep = mem[~np.isin(mem, seg, assume_unique=True)]
+            self._block_of[seg] = nid
+            keep = mem[self._block_of[mem] == pb]
             self._members[pb] = keep
             self._members[nid] = seg
-            self._block_of[seg] = nid
             self._bsize[pb] = len(keep)
             self._bsize[nid] = len(seg)
             self._version[pb] += 1
@@ -405,7 +409,7 @@ class EngineState:
             # the surviving part reuses the parent's storage, the new part
             # copies only the symbols that still enter it
             if self.restrict_to_in:
-                child_syms = [int(b) for b in self._adj.in_symbols(seg)]
+                child_syms = self._adj.in_symbols(seg).tolist()
             else:
                 child_syms = sorted(self._counts[pb])
             for b in child_syms:
@@ -425,11 +429,11 @@ class EngineState:
         metrics.counters_allocated = max(metrics.counters_allocated, self._cells)
         return sorted(d_blocks)
 
-    def _in_symbols_of(self, bid: int) -> np.ndarray:
+    def _in_symbols_of(self, bid: int) -> list[int]:
         key = (bid, self._version[bid])
         syms = self._insym_cache.get(key)
         if syms is None:
-            syms = self._adj.in_symbols(self._members[bid])
+            syms = self._adj.in_symbols(self._members[bid]).tolist()
             self._insym_cache[key] = syms
         return syms
 
@@ -452,46 +456,74 @@ class EngineState:
         return cached
 
     def _prune(self, a: int, b_pre: np.ndarray, d_blocks: list[int]) -> None:
-        """Delete (C,D) relation pairs and propagate counter decrements."""
-        adj = self._adj
-        preds = adj.preds_of(a, b_pre)
+        """Delete the (C, D) relation pairs this step cuts and propagate the
+        counter decrements, grouped by (C, b).
+
+        C ranges over the blocks holding a-predecessors of the step's block,
+        D over the blocks inside its Remove set; all cut pairs come from one
+        slice of the relation.  For each cut C, the decrement slots of every
+        cut D that symbol b enters are applied to C's b-counters together,
+        with one zero scan and one Remove-set update per (C, b).  Counters
+        only fall and never below zero, so the slots found at zero after the
+        group are exactly those the per-D updates found one D at a time.
+        The (C, b) activations still come in ascending C order, and
+        activating only adds b to C's pending set and pushes C once, so the
+        scheduling order and every metric equal those of per-(C, D, b)
+        updates.
+        """
+        preds = self._adj.preds_of(a, b_pre)
         if preds.size == 0 or not d_blocks:
             return
         c_blocks = np.unique(self._block_of[preds])
-        rel = self._rel
-        for cid in c_blocks:
-            cid = int(cid)
+        d_arr = np.asarray(d_blocks)
+        rows, cols = np.nonzero(self._rel[np.ix_(c_blocks, d_arr)])
+        if rows.size == 0:
+            return
+        cut_c, cut_d = c_blocks[rows], d_arr[cols]
+        self._rel[cut_c, cut_d] = False
+        cut: dict[int, list[int]] = {}  # row-major order: C ascending
+        for cid, did in zip(cut_c.tolist(), cut_d.tolist()):
+            cut.setdefault(cid, []).append(did)
+        for cid, dids in cut.items():
             counts_c = self._counts[cid]
-            for did in d_blocks:
-                if not rel[cid, did]:
-                    continue
-                rel[cid, did] = False
+            groups: dict[int, list[int]] = {}
+            for did in dids:
                 for b in self._in_symbols_of(did):
-                    b = int(b)
-                    arr = counts_c.get(b)
-                    if arr is None:
-                        continue  # symbol does not enter C; never scheduled
-                    idx, uniq = self._decrement_indices(did, b)
-                    if uniq is None:
-                        arr[idx] -= 1
-                        uniq = idx
-                    else:
-                        np.subtract.at(arr, idx, 1)
-                    zero = uniq[arr[uniq] == 0]
-                    if zero.size == 0:
-                        continue
-                    rs = self._removes[cid][b]
-                    fresh = zero[~rs.mask[zero]]
-                    if fresh.size == 0:
-                        continue
-                    rs.mask[fresh] = True
-                    states = (
-                        adj.out_states[b][fresh] if self.restrict_remove else fresh
-                    )
-                    rs.chunks.append(states)
-                    rs.count += len(states)
-                    self.metrics.remove_enqueued += len(states)
+                    if b in counts_c:  # else b does not enter C; never scheduled
+                        groups.setdefault(b, []).append(did)
+            for b, group in groups.items():
+                if self._decrement_group(cid, b, group):
                     self._activate(cid, b)
+
+    def _decrement_group(self, cid: int, b: int, dids: list[int]) -> bool:
+        """Decrement C's b-counters for the blocks ``dids`` leaving its
+        above-set and enqueue the slots that reach zero; True if any did."""
+        arr = self._counts[cid][b]
+        if len(dids) == 1:
+            idx, uniq = self._decrement_indices(dids[0], b)
+            if uniq is None:
+                arr[idx] -= 1
+                uniq = idx
+            else:
+                np.subtract.at(arr, idx, 1)
+        else:
+            idx = np.concatenate([self._decrement_indices(did, b)[0] for did in dids])
+            hits = np.bincount(idx, minlength=len(arr))
+            arr -= hits
+            uniq = np.flatnonzero(hits)
+        zero = uniq[arr[uniq] == 0]
+        if zero.size == 0:
+            return False
+        rs = self._removes[cid][b]
+        fresh = zero[~rs.mask[zero]]
+        if fresh.size == 0:
+            return False
+        rs.mask[fresh] = True
+        states = self._adj.out_states[b][fresh] if self.restrict_remove else fresh
+        rs.chunks.append(states)
+        rs.count += len(states)
+        self.metrics.remove_enqueued += len(states)
+        return True
 
     # -- results and audits ---------------------------------------------------
 

@@ -87,6 +87,29 @@ def test_sim_lts_metrics_side_channel(tmp_path, capsys):
     assert entries["states"] == "3"
 
 
+def test_sim_lts_output_into_missing_dir_exit_3(tmp_path, capsys):
+    lts = write(tmp_path / "l1.lts", L1_TEXT)
+    out = tmp_path / "missing" / "out.txt"
+    code, _, err = run(["sim-lts", lts, "-o", str(out)], capsys)
+    assert code == 3
+    assert err.startswith("simred: cannot write")
+
+
+def test_sim_lts_unwritable_metrics_exit_3(tmp_path, capsys):
+    lts = write(tmp_path / "l1.lts", L1_TEXT)
+    code, _, err = run(["sim-lts", lts, "--metrics", str(tmp_path)], capsys)
+    assert code == 3
+    assert err.startswith("simred: cannot write")
+
+
+def test_sim_lts_non_utf8_input_exit_2(tmp_path, capsys):
+    lts = tmp_path / "latin1.lts"
+    lts.write_bytes("p a q\nq b \u00e9\n".encode("latin-1"))
+    code, _, err = run(["sim-lts", str(lts)], capsys)
+    assert code == 2
+    assert "not UTF-8" in err
+
+
 def test_ta_down_t1(tmp_path, capsys, t1_text):
     ta = write(tmp_path / "t1.timbuk", t1_text)
     code, out, _ = run(["ta-down", ta], capsys)

@@ -205,6 +205,39 @@ def test_counter_audit_runs_clean():
         )
 
 
+def test_batched_prune_multi_block_groups():
+    # A step that cuts several D blocks under one C for the same symbol takes
+    # the grouped decrement path; counts are those of per-(C, D, b) updates.
+    lts = random_lts(100, 3, n_edges=150, sparsity=0.67, seed=1)
+    init = full_init(lts.state_count)
+    oracle = max_simulation_naive(lts, StateRelation.full(lts.state_count)).relation
+    corners = {
+        "olrt": ({}, (2702, 3305, 104, 56, 52)),
+        "lrt": (
+            dict(out_init=False, restrict_to_in=False, restrict_remove=False),
+            (18900, 9120, 235, 62, 0),
+        ),
+    }
+    for flags, expected in corners.values():
+        state = EngineState(lts, init, audit=True, **flags)
+        widest = []
+        grouped = state._decrement_group
+
+        def spy(cid, b, dids):
+            widest.append(len(dids))
+            return grouped(cid, b, dids)
+
+        state._decrement_group = spy
+        state.run()
+        assert max(widest) >= 2
+        assert state.current_pair().induced_relation() == oracle
+        m = state.metrics
+        assert (
+            m.counters_allocated, m.remove_enqueued, m.iterations, m.splits,
+            m.skipped_iterations,
+        ) == expected
+
+
 def test_lrt_counter_allocation_formula():
     for seed in range(10):
         n = 3 + seed % 5
