@@ -36,7 +36,6 @@ from .partition import (
     PartitionError,
     PartitionRelationPair,
     coarsest_pair,
-    induced_relation,
     refine_by_out,
     split,
     validate_coarsest,
@@ -86,7 +85,6 @@ __all__ = [
     "downward_translation",
     "engine_step",
     "in_out_sets",
-    "induced_relation",
     "is_simulation",
     "lhs_and_envs",
     "lrt",

@@ -23,6 +23,7 @@ from .lts import (
     LtsParseError,
     parse_lts,
     parse_relation,
+    quotient,
     serialize_lts,
     serialize_relation,
 )
@@ -70,28 +71,27 @@ def _emit(text: str, output: str | None) -> None:
 def _load_lts(path: str) -> Lts:
     try:
         return parse_lts(_read(path))
-    except LtsParseError as exc:
-        raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
     except LtsError as exc:
         raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
+
+
+def _load_relation(path: str, states) -> StateRelation:
+    """Relation file over the state names of an LTS or a tree automaton."""
+    try:
+        return parse_relation(_read(path), states)
+    except LtsParseError as exc:
+        raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
+    except ValueError as exc:  # an unknown state name
+        raise _CliError(EXIT_SEMANTIC, f"{path}: {exc}") from exc
 
 
 def _load_initial(lts: Lts, args) -> StateRelation:
+    """The --init relation, not yet checked to be a preorder: coarsest_pair
+    or the oracle does that once, in _run_lts_algorithm."""
     if args.init is None:
         return StateRelation.full(lts.state_count)
-    text = _read(args.init)
-    try:
-        rel = parse_relation(text, lts)
-    except LtsParseError as exc:
-        raise _CliError(EXIT_PARSE, f"{args.init}: {exc}") from exc
-    except LtsError as exc:
-        raise _CliError(EXIT_SEMANTIC, f"{args.init}: {exc}") from exc
-    if args.closure:
-        rel = rel.reflexive_transitive_closure()
-    violation = rel.preorder_violation()
-    if violation is not None:
-        raise _CliError(EXIT_SEMANTIC, f"{args.init}: initial relation {violation}")
-    return rel
+    rel = _load_relation(args.init, lts)
+    return rel.reflexive_transitive_closure() if args.closure else rel
 
 
 def _write_metrics(path: str | None, entries: dict) -> None:
@@ -113,33 +113,33 @@ def _blocks_text(pair: PartitionRelationPair, names) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_lts_algorithm(lts: Lts, init: StateRelation, algo: str):
-    """Returns (relation, pair, metrics dict)."""
-    if algo == "oracle":
-        result = _oracle.max_simulation_naive(lts, init)
+_ENGINES = {"olrt": _engine.olrt, "lrt": _engine.lrt}
+
+
+def _run_lts_algorithm(lts: Lts, args):
+    """Returns (coarsest pair of the maximal simulation, metrics dict)."""
+    init = _load_initial(lts, args)
+    try:  # both check that the initial relation is a preorder
+        if args.algo == "oracle":
+            result = _oracle.max_simulation_naive(lts, init)
+        else:
+            initial = coarsest_pair(init)
+    except RelationError as exc:
+        raise _CliError(EXIT_SEMANTIC, f"{args.init}: {exc}") from exc
+    if args.algo == "oracle":
         pair = coarsest_pair(result.relation)
-        return result.relation, pair, {"algorithm": "oracle", "rounds": result.rounds}
-    initial = coarsest_pair(init)
-    if algo == "olrt":
-        pair, metrics = _engine.olrt(lts, initial)
-    elif algo == "lrt":
-        pair, metrics = _engine.run_engine(
-            lts, initial, out_init=False, restrict_to_in=False, restrict_remove=False
-        )
-    else:
-        raise _CliError(EXIT_PARAMS, f"unknown algorithm {algo!r}")
-    entries = {"algorithm": algo}
-    entries.update(metrics.as_dict())
+        return pair, {"algorithm": "oracle", "rounds": result.rounds}
+    pair, metrics = _ENGINES[args.algo](lts, initial)
+    entries = {"algorithm": args.algo, **metrics.as_dict()}
     entries["final_blocks"] = pair.block_count
-    return pair.induced_relation(), pair, entries
+    return pair, entries
 
 
 def _cmd_sim_lts(args) -> int:
     lts = _load_lts(args.input)
-    init = _load_initial(lts, args)
-    rel, pair, metrics = _run_lts_algorithm(lts, init, args.algo)
+    pair, metrics = _run_lts_algorithm(lts, args)
     if args.format == "pairs":
-        _emit(serialize_relation(rel, lts), args.output)
+        _emit(serialize_relation(pair.induced_relation(), lts), args.output)
     else:
         _emit(_blocks_text(pair, lts.state_names), args.output)
     metrics.update(
@@ -154,8 +154,6 @@ def _cmd_sim_lts(args) -> int:
 def _load_ta(path: str) -> _tree.TreeAutomaton:
     try:
         return _tree.parse_timbuk(_read(path))
-    except TimbukParseError as exc:
-        raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
     except TreeError as exc:
         raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
 
@@ -205,21 +203,7 @@ def _is_downward_simulation(ta, rel: StateRelation) -> str | None:
 def _cmd_ta_up(args) -> int:
     ta = _load_ta(args.input)
     if args.init is not None:
-        text = _read(args.init)
-        d = StateRelation.empty(ta.state_count)
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise _CliError(
-                    EXIT_PARSE, f"{args.init}: line {lineno}: expected 2 tokens"
-                )
-            try:
-                d.add(ta.state_id(tokens[0]), ta.state_id(tokens[1]))
-            except TreeError as exc:
-                raise _CliError(EXIT_SEMANTIC, f"{args.init}: line {lineno}: {exc}")
+        d = _load_relation(args.init, ta)
         reason = _is_downward_simulation(ta, d)
         if reason is not None:
             raise _CliError(
@@ -257,11 +241,7 @@ def _cmd_minimize(args) -> int:
         _emit(_tree.serialize_timbuk(reduced), args.output)
     else:
         lts = _load_lts(args.input)
-        init = _load_initial(lts, args)
-        rel, _, _ = _run_lts_algorithm(lts, init, args.algo)
-        pair = coarsest_pair(rel)
-        from .lts import quotient
-
+        pair, _ = _run_lts_algorithm(lts, args)
         reduced = quotient(lts, pair)
         before, after = lts.state_count, reduced.state_count
         _emit(serialize_lts(reduced), args.output)
@@ -310,7 +290,7 @@ def _cmd_bench(args) -> int:
         raise _CliError(EXIT_PARAMS, "invalid benchmark parameters")
     algos = [tok for tok in args.algos.split(",") if tok]
     for algo in algos:
-        if algo not in ("lrt", "olrt"):
+        if algo not in _ENGINES:
             raise _CliError(EXIT_PARAMS, f"unknown benchmark algorithm {algo!r}")
 
     buf = io.StringIO()
@@ -343,16 +323,7 @@ def _cmd_bench(args) -> int:
         instance = f"n{args.states}-m{m}-seed{args.seed}"
         initial = coarsest_pair(StateRelation.full(lts.state_count))
         for algo in algos:
-            if algo == "olrt":
-                pair, metrics = _engine.olrt(lts, initial)
-            else:
-                pair, metrics = _engine.run_engine(
-                    lts,
-                    initial,
-                    out_init=False,
-                    restrict_to_in=False,
-                    restrict_remove=False,
-                )
+            pair, metrics = _ENGINES[algo](lts, initial)
             writer.writerow(
                 [
                     instance,

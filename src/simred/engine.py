@@ -18,7 +18,8 @@ and every counter metric as they are with one update per (C, D, b).
 The two restrictions and the output-preorder initialization can be toggled
 independently (they are result-preserving one by one), which is what
 :func:`run_engine` exposes; :func:`lrt` and :func:`olrt` are the two named
-corner configurations.
+corner configurations, and like :func:`run_engine` both return the final
+pair together with its run metrics.
 """
 
 from __future__ import annotations
@@ -212,12 +213,17 @@ class EngineState:
         restrict_remove: bool = True,
         audit: bool = False,
     ):
-        try:
-            validate_coarsest(initial)
-        except PartitionError as exc:
-            raise EngineError(f"initial pair rejected: {exc}") from exc
         if initial.state_count != lts.state_count:
             raise EngineError("initial pair does not cover this LTS's states")
+        # refine_by_out validates the pair itself; the plain start checks it here
+        try:
+            if out_init:
+                pair = refine_by_out(initial, lts)
+            else:
+                validate_coarsest(initial)
+                pair = initial.canonical()
+        except PartitionError as exc:
+            raise EngineError(f"initial pair rejected: {exc}") from exc
 
         self.lts = lts
         self.out_init = out_init
@@ -226,7 +232,6 @@ class EngineState:
         self.audit = audit
         self.metrics = SimMetrics()
 
-        pair = refine_by_out(initial, lts) if out_init else initial.canonical()
         adj = _Adjacency(lts)
         self._adj = adj
         n, m = adj.n, adj.m
@@ -249,10 +254,9 @@ class EngineState:
         self._pending: list[set[int]] = [set() for _ in range(k)]
         self._stack: list[int] = []
         self._cells = 0
-        # caches keyed by (block, member-version, ...); versions bump on splits
-        self._version: list[int] = [0] * k
-        self._dec_cache: dict = {}
-        self._insym_cache: dict = {}
+        # per-block caches, dropped when a split shrinks the block
+        self._insym_cache: dict[int, list[int]] = {}
+        self._dec_cache: dict[tuple[int, int], tuple] = {}
 
         widths = [
             len(adj.out_states[a]) if restrict_remove else n for a in range(m)
@@ -323,7 +327,6 @@ class EngineState:
         self._counts.append(dict())
         self._removes.append(dict())
         self._pending.append(set())
-        self._version.append(0)
         return nid
 
     def _shrink_to_in(self, bid: int) -> None:
@@ -399,7 +402,9 @@ class EngineState:
             self._members[nid] = seg
             self._bsize[pb] = len(keep)
             self._bsize[nid] = len(seg)
-            self._version[pb] += 1
+            # decrement slots are cached only for the block's in-symbols
+            for b in self._insym_cache.pop(pb, ()):
+                self._dec_cache.pop((pb, b), None)
             old = nid  # row/col count before this block existed
             rel = self._rel
             rel[nid, :old] = rel[pb, :old]
@@ -430,17 +435,16 @@ class EngineState:
         return sorted(d_blocks)
 
     def _in_symbols_of(self, bid: int) -> list[int]:
-        key = (bid, self._version[bid])
-        syms = self._insym_cache.get(key)
+        syms = self._insym_cache.get(bid)
         if syms is None:
             syms = self._adj.in_symbols(self._members[bid]).tolist()
-            self._insym_cache[key] = syms
+            self._insym_cache[bid] = syms
         return syms
 
     def _decrement_indices(self, bid: int, b: int):
         """Counter slots hit when block ``bid`` leaves some above-set, with
         multiplicity, plus the deduplicated slots (None when already unique)."""
-        key = (bid, self._version[bid], b)
+        key = (bid, b)
         cached = self._dec_cache.get(key)
         if cached is None:
             dmem = self._members[bid]
@@ -598,12 +602,11 @@ def run_engine(
     return pair, state.metrics
 
 
-def lrt(lts: Lts, initial: PartitionRelationPair) -> PartitionRelationPair:
+def lrt(lts: Lts, initial: PartitionRelationPair) -> tuple[PartitionRelationPair, SimMetrics]:
     """Baseline refinement: full allocation, no output-preorder initialization."""
-    pair, _ = run_engine(
+    return run_engine(
         lts, initial, out_init=False, restrict_to_in=False, restrict_remove=False
     )
-    return pair
 
 
 def olrt(lts: Lts, initial: PartitionRelationPair) -> tuple[PartitionRelationPair, SimMetrics]:

@@ -291,9 +291,15 @@ def serialize_lts(lts: Lts) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def parse_relation(text: str, lts: Lts) -> StateRelation:
-    """Parse a relation file: one ``U V`` name pair per line, ``#`` comments."""
-    rel = StateRelation.empty(lts.state_count)
+def parse_relation(text: str, states) -> StateRelation:
+    """Parse a relation file: one ``U V`` name pair per line, ``#`` comments.
+
+    ``states`` is anything with ``state_count`` and ``state_id`` (an
+    :class:`Lts` or a tree automaton).  A malformed line raises
+    :class:`LtsParseError`; an unknown name re-raises the ``state_id`` error
+    with the line number prefixed.
+    """
+    rel = StateRelation.empty(states.state_count)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -302,10 +308,10 @@ def parse_relation(text: str, lts: Lts) -> StateRelation:
         if len(tokens) != 2:
             raise LtsParseError(lineno, f"expected 2 tokens, got {len(tokens)}")
         try:
-            u = lts.state_id(tokens[0])
-            v = lts.state_id(tokens[1])
-        except LtsError as exc:
-            raise LtsError(f"line {lineno}: {exc}") from None
+            u = states.state_id(tokens[0])
+            v = states.state_id(tokens[1])
+        except ValueError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
         rel.add(u, v)
     return rel
 

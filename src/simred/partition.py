@@ -16,7 +16,6 @@ __all__ = [
     "PartitionError",
     "PartitionRelationPair",
     "coarsest_pair",
-    "induced_relation",
     "split",
     "refine_by_out",
     "validate_coarsest",
@@ -106,10 +105,6 @@ class PartitionRelationPair:
 
     def __repr__(self) -> str:
         return f"PartitionRelationPair(blocks={self.block_count}, states={self.state_count})"
-
-
-def induced_relation(pair: PartitionRelationPair) -> StateRelation:
-    return pair.induced_relation()
 
 
 def coarsest_pair(rho: StateRelation) -> PartitionRelationPair:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import lrt, olrt
 from .lts import IDENTIFIER_RE, Lts
 from .partition import PartitionRelationPair, coarsest_pair
 from .relation import StateRelation
@@ -512,12 +513,10 @@ def upward_translation(ta: TreeAutomaton, d: StateRelation) -> TranslationResult
 
 
 def _run_translated(tr: TranslationResult, algorithm: str) -> StateRelation:
-    from .engine import lrt, olrt
-
     if algorithm == "olrt":
         pair, _ = olrt(tr.lts, tr.initial)
     elif algorithm == "lrt":
-        pair = lrt(tr.lts, coarsest_pair(tr.init_relation))
+        pair, _ = lrt(tr.lts, coarsest_pair(tr.init_relation))
     else:
         raise TreeError(f"unknown algorithm {algorithm!r}")
     return pair.induced_relation()

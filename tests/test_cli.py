@@ -3,7 +3,17 @@ import hashlib
 import numpy as np
 import pytest
 
+from simred import (
+    StateRelation,
+    coarsest_pair,
+    olrt,
+    parse_lts,
+    quotient,
+    serialize_lts,
+    serialize_relation,
+)
 from simred.cli import main
+from simred.generate import random_lts, random_preorder
 
 L1_TEXT = "p a q\nq b q\nr a q\n"
 
@@ -285,3 +295,76 @@ def test_outputs_deterministic_across_runs(tmp_path, capsys, t1_text):
             assert code == 0
             digests.add(hashlib.sha256(out.encode()).hexdigest())
         assert len(digests) == 1
+
+
+# -- each input is checked once, and minimize quotients by the engine's pair ------
+
+
+def test_preorder_checked_once_per_run(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = StateRelation.preorder_violation
+
+    def counting(self):
+        calls.append(self.size)
+        return original(self)
+
+    monkeypatch.setattr(StateRelation, "preorder_violation", counting)
+    lts = write(tmp_path / "l1.lts", L1_TEXT)
+    preorder = write(tmp_path / "pre.rel", "p p\nq q\nr r\np r\n")
+    generators = write(tmp_path / "gen.rel", "p r\n")
+    for algo in ("olrt", "lrt"):
+        for argv in (
+            ["sim-lts", lts, "--init", preorder],
+            ["minimize", lts, "--init", generators, "--closure"],
+        ):
+            calls.clear()
+            code, _, _ = run(argv + ["--algo", algo], capsys)
+            assert code == 0
+            assert len(calls) == 1, argv
+
+
+def test_minimize_quotients_by_engine_pair(tmp_path, capsys):
+    for seed in range(6):
+        lts = parse_lts(serialize_lts(random_lts(6 + seed, 2, edge_prob=0.3, seed=seed)))
+        init = random_preorder(lts.state_count, edge_prob=0.3, seed=seed + 40)
+        pair, _ = olrt(lts, coarsest_pair(init))
+        reduced = quotient(lts, coarsest_pair(pair.induced_relation()))
+        expected = serialize_lts(reduced)
+        lts_path = write(tmp_path / f"{seed}.lts", serialize_lts(lts))
+        rel_path = write(tmp_path / f"{seed}.rel", serialize_relation(init, lts))
+        for algo in ("olrt", "lrt", "oracle"):
+            code, out, err = run(
+                ["minimize", lts_path, "--init", rel_path, "--algo", algo], capsys
+            )
+            assert code == 0
+            assert out == expected
+            assert err == f"{lts.state_count} {reduced.state_count}\n"
+
+
+def test_non_transitive_init_exit_3_names_file(tmp_path, capsys):
+    lts = write(tmp_path / "l1.lts", L1_TEXT)
+    init = write(tmp_path / "bad.rel", "p p\nq q\nr r\np q\nq r\n")
+    for command in ("sim-lts", "minimize"):
+        for algo in ("olrt", "lrt", "oracle"):
+            code, out, err = run([command, lts, "--init", init, "--algo", algo], capsys)
+            assert code == 3
+            assert out == ""
+            assert err.startswith(
+                f"simred: {init}: initial relation is not a preorder: not transitive"
+            )
+
+
+def test_ta_up_init_unknown_state_exit_3(tmp_path, capsys, t1_text):
+    ta = write(tmp_path / "t1.timbuk", t1_text)
+    init = write(tmp_path / "d.rel", "q0 q0\n# comment\nq1 qx\n")
+    code, _, err = run(["ta-up", ta, "--init", init], capsys)
+    assert code == 3
+    assert err == f"simred: {init}: line 3: unknown state 'qx'\n"
+
+
+def test_ta_up_init_three_tokens_exit_2(tmp_path, capsys, t1_text):
+    ta = write(tmp_path / "t1.timbuk", t1_text)
+    init = write(tmp_path / "d.rel", "q0 q0\nq1 q1 q0\n")
+    code, _, err = run(["ta-up", ta, "--init", init], capsys)
+    assert code == 2
+    assert err.startswith(f"simred: {init}: line 2: expected 2 tokens")

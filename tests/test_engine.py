@@ -8,7 +8,6 @@ from simred import (
     StateRelation,
     coarsest_pair,
     engine_step,
-    induced_relation,
     is_simulation,
     lrt,
     max_simulation_naive,
@@ -23,21 +22,22 @@ def full_init(n):
 
 
 def test_lrt_l1_full(l1):
-    pair = lrt(l1, full_init(3))
+    pair, _ = lrt(l1, full_init(3))
     assert pair.blocks == ((0, 2), (1,))
     assert sorted(pair.rel_pairs()) == [(0, 0), (1, 1)]
     assert pair.induced_relation() == max_simulation_naive(l1, StateRelation.full(3)).relation
 
 
 def test_lrt_l3_full(l3):
-    pair = lrt(l3, full_init(3))
+    pair, _ = lrt(l3, full_init(3))
     assert pair.blocks == ((0,), (1,), (2,))
     assert pair.induced_relation() == max_simulation_naive(l3, StateRelation.full(3)).relation
 
 
 def test_identity_initial_is_returned_unchanged(l1):
     init = coarsest_pair(StateRelation.identity(3))
-    assert lrt(l1, init) == init
+    pair, _ = lrt(l1, init)
+    assert pair == init
     pair, metrics = olrt(l1, init)
     assert pair == init
 
@@ -46,7 +46,7 @@ def test_olrt_matches_lrt_on_fixtures(l1, l3):
     for lts in (l1, l3):
         init = full_init(3)
         pair, _ = olrt(lts, init)
-        assert pair == lrt(lts, init)
+        assert pair == lrt(lts, init)[0]
 
 
 def test_olrt_l1_zero_iterations(l1):
@@ -102,7 +102,7 @@ def test_stepping_monotone_and_bounded():
         init = coarsest_pair(random_preorder(n, edge_prob=0.5, seed=seed))
         state = EngineState(lts, init)
         prev = state.current_pair().induced_relation()
-        oracle = max_simulation_naive(lts, induced_relation(init)).relation
+        oracle = max_simulation_naive(lts, init.induced_relation()).relation
         steps = 0
         bound = n * lts.symbol_count * n + n + 1
         while engine_step(state):
@@ -134,7 +134,7 @@ def test_engines_agree_with_oracle_random():
         init = coarsest_pair(init_rel)
         oracle = max_simulation_naive(lts, init_rel).relation
         pair_o, _ = olrt(lts, init)
-        pair_l = lrt(lts, init)
+        pair_l, _ = lrt(lts, init)
         assert pair_o.induced_relation() == oracle
         assert pair_l.induced_relation() == oracle
         assert pair_o == pair_l == coarsest_pair(oracle)
@@ -236,6 +236,40 @@ def test_batched_prune_multi_block_groups():
             m.counters_allocated, m.remove_enqueued, m.iterations, m.splits,
             m.skipped_iterations,
         ) == expected
+
+
+def test_validate_coarsest_once_per_run(l3, monkeypatch):
+    import simred.engine
+    import simred.partition
+
+    calls = []
+    original = simred.partition.validate_coarsest
+
+    def counting(pair):
+        calls.append(pair.block_count)
+        return original(pair)
+
+    monkeypatch.setattr(simred.partition, "validate_coarsest", counting)
+    monkeypatch.setattr(simred.engine, "validate_coarsest", counting)
+    for engine in (olrt, lrt):
+        calls.clear()
+        engine(l3, full_init(3))
+        assert len(calls) == 1, engine.__name__
+
+
+def test_decrement_cache_holds_live_blocks_only():
+    lts = random_lts(200, 3, n_edges=600, sparsity=0.67, seed=3)
+    for flags in ({}, dict(out_init=False, restrict_to_in=False, restrict_remove=False)):
+        state = EngineState(lts, full_init(lts.state_count), **flags).run()
+        assert state.metrics.splits > 0
+        keys = [(key[0], key[-1]) for key in state._dec_cache]
+        assert len(keys) == len(set(keys))  # one entry per (block, symbol)
+        for (bid, b), (idx, _) in zip(keys, state._dec_cache.values()):
+            # each entry matches the block's current members
+            fresh = state._adj.preds_of(b, state._members[bid])
+            if state.restrict_remove:
+                fresh = state._adj.counter_slot[b][fresh]
+            assert np.array_equal(idx, fresh)
 
 
 def test_lrt_counter_allocation_formula():

@@ -6,7 +6,6 @@ from simred import (
     PartitionRelationPair,
     StateRelation,
     coarsest_pair,
-    induced_relation,
     out_preorder,
     refine_by_out,
     split,
@@ -76,14 +75,14 @@ def test_induced_one_block():
 
 def test_induced_identity_blocks():
     pair = PartitionRelationPair([[0], [1]], np.eye(2, dtype=bool))
-    assert induced_relation(pair) == StateRelation.identity(2)
+    assert pair.induced_relation() == StateRelation.identity(2)
 
 
 def test_round_trip_on_random_preorders():
     for seed in range(200):
         n = 1 + seed % 7
         rho = random_preorder(n, edge_prob=0.35, seed=seed)
-        assert induced_relation(coarsest_pair(rho)) == rho
+        assert coarsest_pair(rho).induced_relation() == rho
 
 
 def test_coarsest_block_law():
@@ -233,4 +232,4 @@ def test_refine_by_out_equals_coarsest_of_intersection():
         refined = refine_by_out(coarsest_pair(rho), lts)
         intersected = StateRelation(rho.matrix & out_preorder(lts).matrix)
         assert refined == coarsest_pair(intersected)
-        assert induced_relation(refined) == intersected
+        assert refined.induced_relation() == intersected
