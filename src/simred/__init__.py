@@ -17,12 +17,10 @@ from .engine import (
 )
 from .generate import random_lts, random_preorder, random_ta
 from .lts import (
-    InOutSets,
     Lts,
     LtsError,
     LtsParseError,
     build_lts,
-    in_out_sets,
     is_simulation,
     out_preorder,
     parse_lts,
@@ -31,13 +29,12 @@ from .lts import (
     serialize_lts,
     serialize_relation,
 )
-from .oracle import OracleResult, downward_naive, max_simulation_naive, upward_naive
+from .oracle import OracleResult, downward_naive, max_simulation_naive, split, upward_naive
 from .partition import (
     PartitionError,
     PartitionRelationPair,
     coarsest_pair,
     refine_by_out,
-    split,
     validate_coarsest,
 )
 from .relation import RelationError, StateRelation
@@ -64,7 +61,6 @@ __all__ = [
     "EngineError",
     "EngineState",
     "Environment",
-    "InOutSets",
     "Lts",
     "LtsError",
     "LtsParseError",
@@ -84,7 +80,6 @@ __all__ = [
     "downward_simulation",
     "downward_translation",
     "engine_step",
-    "in_out_sets",
     "is_simulation",
     "lhs_and_envs",
     "lrt",

@@ -230,6 +230,8 @@ def _sniff_is_ta(text: str) -> bool:
 def _cmd_minimize(args) -> int:
     text = _read(args.input)
     if _sniff_is_ta(text):
+        if args.init is not None or args.closure:
+            raise _CliError(EXIT_PARAMS, "--init/--closure apply to LTS input only")
         try:
             ta = _tree.parse_timbuk(text)
         except TreeError as exc:

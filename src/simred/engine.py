@@ -20,6 +20,9 @@ independently (they are result-preserving one by one), which is what
 :func:`run_engine` exposes; :func:`lrt` and :func:`olrt` are the two named
 corner configurations, and like :func:`run_engine` both return the final
 pair together with its run metrics.
+
+The engine reads the LTS's own per-symbol CSR arrays and ``in_mask``; the
+only tables it derives itself are OLRT's emitter slots (``_Adjacency``).
 """
 
 from __future__ import annotations
@@ -111,28 +114,20 @@ def _segment_counts(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 class _Adjacency:
-    """Per-symbol CSR adjacency plus the index tables the engine needs."""
+    """The per-symbol index tables OLRT derives from the LTS's CSR arrays.
+
+    ``out_states[a]`` lists the states emitting a, ascending;
+    ``counter_slot[a]`` maps a state to its dense slot among them (-1 if it
+    emits no a); ``rsucc_indptr[a]`` is the successor CSR restricted to the
+    rows of ``out_states[a]``.
+    """
 
     def __init__(self, lts: Lts):
-        n, m = lts.state_count, lts.symbol_count
-        self.n = n
-        self.m = m
-        self.succ_indptr: list[np.ndarray] = []
-        self.succ_data: list[np.ndarray] = []
-        self.pred_indptr: list[np.ndarray] = []
-        self.pred_data: list[np.ndarray] = []
-        self.out_states: list[np.ndarray] = []      # states emitting a, ascending
-        self.counter_slot: list[np.ndarray] = []    # state -> dense slot among out_states
-        self.rsucc_indptr: list[np.ndarray] = []    # CSR over out_states[a] rows only
-        self.has_in = np.zeros((m, n), dtype=bool)
-
-        for a in range(m):
-            si, sd = self._csr(lts.succ[a], n)
-            pi, pd = self._csr(lts.pred[a], n)
-            self.succ_indptr.append(si)
-            self.succ_data.append(sd)
-            self.pred_indptr.append(pi)
-            self.pred_data.append(pd)
+        n = lts.state_count
+        self.out_states: list[np.ndarray] = []
+        self.counter_slot: list[np.ndarray] = []
+        self.rsucc_indptr: list[np.ndarray] = []
+        for si in lts.succ_indptr:
             degrees = si[1:] - si[:-1]
             outs = np.flatnonzero(degrees > 0)
             self.out_states.append(outs)
@@ -142,24 +137,6 @@ class _Adjacency:
             rind = np.zeros(len(outs) + 1, dtype=np.int64)
             np.cumsum(degrees[outs], out=rind[1:])
             self.rsucc_indptr.append(rind)
-            self.has_in[a] = (pi[1:] - pi[:-1]) > 0
-
-    @staticmethod
-    def _csr(adj: dict, n: int):
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        for u, targets in adj.items():
-            indptr[u + 1] = len(targets)
-        np.cumsum(indptr, out=indptr)
-        data = np.empty(indptr[-1], dtype=np.int64)
-        for u, targets in adj.items():
-            data[indptr[u] : indptr[u + 1]] = sorted(targets)
-        return indptr, data
-
-    def preds_of(self, a: int, states: np.ndarray) -> np.ndarray:
-        return _gather_rows(self.pred_indptr[a], self.pred_data[a], states)
-
-    def in_symbols(self, states: np.ndarray) -> np.ndarray:
-        return np.flatnonzero(self.has_in[:, states].any(axis=1))
 
 
 class _RemoveSet:
@@ -234,7 +211,7 @@ class EngineState:
 
         adj = _Adjacency(lts)
         self._adj = adj
-        n, m = adj.n, adj.m
+        n, m = lts.state_count, lts.symbol_count
 
         k = pair.block_count
         cap = max(4, k)
@@ -265,7 +242,7 @@ class EngineState:
         for bid in range(k):
             above = self._above_mask(bid)
             if restrict_to_in:
-                symbols = [int(a) for a in adj.in_symbols(self._members[bid])]
+                symbols = self._in_symbols(self._members[bid]).tolist()
             else:
                 symbols = range(m)
             for a in symbols:
@@ -291,19 +268,26 @@ class EngineState:
 
     # -- helpers ------------------------------------------------------------
 
+    def _in_symbols(self, states: np.ndarray) -> np.ndarray:
+        """Symbols entering some state of ``states``, ascending."""
+        return np.flatnonzero(self.lts.in_mask[states].any(axis=0))
+
+    def _preds_of(self, a: int, states: np.ndarray) -> np.ndarray:
+        """The a-predecessors of ``states``, with multiplicity."""
+        return _gather_rows(self.lts.pred_indptr[a], self.lts.pred_data[a], states)
+
     def _above_mask(self, bid: int) -> np.ndarray:
-        above = np.zeros(self._adj.n, dtype=bool)
+        above = np.zeros(self.lts.state_count, dtype=bool)
         row = self._rel[bid, : self._nb]
         for cid in np.flatnonzero(row):
             above[self._members[cid]] = True
         return above
 
     def _initial_counts(self, a: int, above: np.ndarray) -> np.ndarray:
-        adj = self._adj
-        vals = above[adj.succ_data[a]]
+        vals = above[self.lts.succ_data[a]]
         if self.restrict_remove:
-            return _segment_counts(adj.rsucc_indptr[a], vals)
-        return _segment_counts(adj.succ_indptr[a], vals)
+            return _segment_counts(self._adj.rsucc_indptr[a], vals)
+        return _segment_counts(self.lts.succ_indptr[a], vals)
 
     def _activate(self, bid: int, a: int) -> None:
         # move-to-front: newly pending blocks go on top of the scan order
@@ -337,7 +321,7 @@ class EngineState:
         if not allocated:
             return
         syms = np.array(allocated)
-        alive = self._adj.has_in[syms][:, self._members[bid]].any(axis=1)
+        alive = self.lts.in_mask[self._members[bid]][:, syms].any(axis=0)
         for a in syms[~alive]:
             a = int(a)
             self._cells -= len(self._counts[bid].pop(a))
@@ -414,7 +398,7 @@ class EngineState:
             # the surviving part reuses the parent's storage, the new part
             # copies only the symbols that still enter it
             if self.restrict_to_in:
-                child_syms = self._adj.in_symbols(seg).tolist()
+                child_syms = self._in_symbols(seg).tolist()
             else:
                 child_syms = sorted(self._counts[pb])
             for b in child_syms:
@@ -437,7 +421,7 @@ class EngineState:
     def _in_symbols_of(self, bid: int) -> list[int]:
         syms = self._insym_cache.get(bid)
         if syms is None:
-            syms = self._adj.in_symbols(self._members[bid]).tolist()
+            syms = self._in_symbols(self._members[bid]).tolist()
             self._insym_cache[bid] = syms
         return syms
 
@@ -448,7 +432,7 @@ class EngineState:
         cached = self._dec_cache.get(key)
         if cached is None:
             dmem = self._members[bid]
-            sources = self._adj.preds_of(b, dmem)
+            sources = self._preds_of(b, dmem)
             if self.restrict_remove:
                 idx = self._adj.counter_slot[b][sources]
             else:
@@ -475,7 +459,7 @@ class EngineState:
         scheduling order and every metric equal those of per-(C, D, b)
         updates.
         """
-        preds = self._adj.preds_of(a, b_pre)
+        preds = self._preds_of(a, b_pre)
         if preds.size == 0 or not d_blocks:
             return
         c_blocks = np.unique(self._block_of[preds])

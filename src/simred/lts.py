@@ -1,14 +1,16 @@
 """Labeled transition systems with dense state and symbol ids.
 
-States and symbols are interned to dense integers when the system is built;
-all per-symbol adjacency is kept both forward and reverse so that successor
-and predecessor queries are direct lookups.
+States and symbols are interned to dense integers when the system is built.
+An :class:`Lts` has one representation, built once by :meth:`Lts.from_ids`:
+the deduplicated transitions as immutable id arrays sorted by (symbol, src,
+dst), per-symbol forward and backward CSR offsets over them, and the derived
+``out_mask``/``in_mask`` (state emits / is entered by a symbol).  Every layer
+reads these arrays; nothing rebuilds adjacency.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,9 +20,7 @@ __all__ = [
     "LtsError",
     "LtsParseError",
     "Lts",
-    "InOutSets",
     "build_lts",
-    "in_out_sets",
     "out_preorder",
     "is_simulation",
     "quotient",
@@ -45,44 +45,88 @@ class LtsParseError(LtsError):
         self.line = line
 
 
-class Lts:
-    """Immutable labeled transition system.
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
-    ``succ[a][u]`` is the frozen set of a-successors of u and ``pred[a][w]``
-    the frozen set of a-predecessors of w; the two views are kept consistent
-    by construction.
+
+def _row_offsets(rows: np.ndarray, n: int, m: int):
+    """Per-symbol CSR offsets for transitions grouped by symbol, then by ``rows``.
+
+    Row ``a`` of the result indexes the symbol-``a`` slice of the data.
+    """
+    indptr = np.zeros((m, n + 1), dtype=np.int64)
+    counts = np.bincount(rows, minlength=m * n).reshape(m, n)
+    np.cumsum(counts, axis=1, out=indptr[:, 1:])
+    return _frozen(indptr)
+
+
+class Lts:
+    """Immutable labeled transition system; build it with :meth:`from_ids`
+    or :func:`build_lts`.
+
+    ``src``/``sym``/``dst`` hold the transitions sorted by (symbol, src,
+    dst).  For each symbol a, ``succ_data[a][succ_indptr[a, u]:succ_indptr[a,
+    u + 1]]`` are the a-successors of u and ``pred_data[a][pred_indptr[a,
+    w]:pred_indptr[a, w + 1]]`` the a-predecessors of w, both ascending.
+    ``out_mask[u, a]`` (``in_mask[w, a]``) is set iff u has an outgoing
+    (w an incoming) a-transition.  All arrays are read-only.
     """
 
-    __slots__ = ("state_names", "symbol_names", "succ", "pred", "_state_ids", "_symbol_ids")
+    __slots__ = (
+        "state_names", "symbol_names", "src", "sym", "dst",
+        "succ_indptr", "succ_data", "pred_indptr", "pred_data",
+        "out_mask", "in_mask", "_state_ids", "_symbol_ids",
+    )
 
-    def __init__(self, state_names, symbol_names, succ, pred):
+    @classmethod
+    def from_ids(cls, state_names, symbol_names, transitions) -> "Lts":
+        """Build from (src_id, symbol_id, dst_id) triples, given as an
+        iterable or an (E, 3) array; duplicates collapse."""
+        self = object.__new__(cls)
         self.state_names = tuple(state_names)
         self.symbol_names = tuple(symbol_names)
-        self.succ = succ
-        self.pred = pred
         self._state_ids = {name: i for i, name in enumerate(self.state_names)}
         self._symbol_ids = {name: i for i, name in enumerate(self.symbol_names)}
         if len(self._state_ids) != len(self.state_names):
             raise LtsError("duplicate state names")
         if len(self._symbol_ids) != len(self.symbol_names):
             raise LtsError("duplicate symbol names")
+        n, m = len(self.state_names), len(self.symbol_names)
 
-    @classmethod
-    def from_ids(cls, state_names, symbol_names, transitions) -> "Lts":
-        """Build from (src_id, symbol_id, dst_id) triples; duplicates collapse."""
-        n, m = len(state_names), len(symbol_names)
-        succ_sets = [dict() for _ in range(m)]
-        pred_sets = [dict() for _ in range(m)]
-        for u, a, w in transitions:
-            if not (0 <= u < n and 0 <= w < n):
-                raise LtsError(f"state id out of range in transition ({u},{a},{w})")
-            if not 0 <= a < m:
-                raise LtsError(f"symbol id out of range in transition ({u},{a},{w})")
-            succ_sets[a].setdefault(u, set()).add(w)
-            pred_sets[a].setdefault(w, set()).add(u)
-        succ = tuple({u: frozenset(s) for u, s in d.items()} for d in succ_sets)
-        pred = tuple({w: frozenset(s) for w, s in d.items()} for d in pred_sets)
-        return cls(state_names, symbol_names, succ, pred)
+        t = np.asarray(
+            transitions if isinstance(transitions, np.ndarray) else list(transitions),
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        u, a, w = t[:, 0], t[:, 1], t[:, 2]
+        bad_state = (u < 0) | (u >= n) | (w < 0) | (w >= n)
+        bad = bad_state | (a < 0) | (a >= m)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            kind = "state" if bad_state[i] else "symbol"
+            raise LtsError(f"{kind} id out of range in transition ({u[i]},{a[i]},{w[i]})")
+
+        # sorting key (symbol, src, dst); np.unique sorts and deduplicates
+        nn = max(n, 1)
+        sym, rest = np.divmod(np.unique((a * nn + u) * nn + w), nn * nn)
+        src, dst = np.divmod(rest, nn)
+        self.src, self.sym, self.dst = _frozen(src), _frozen(sym), _frozen(dst)
+
+        sym_start = np.searchsorted(sym, np.arange(m + 1))
+        self.succ_indptr = _row_offsets(sym * n + src, n, m)
+        self.succ_data = tuple(dst[sym_start[b] : sym_start[b + 1]] for b in range(m))
+        by_dst = np.lexsort((src, dst, sym))
+        self.pred_indptr = _row_offsets(sym * n + dst, n, m)
+        pred_src = _frozen(src[by_dst])
+        self.pred_data = tuple(pred_src[sym_start[b] : sym_start[b + 1]] for b in range(m))
+
+        self.out_mask = np.zeros((n, m), dtype=bool)
+        self.out_mask[src, sym] = True
+        self.in_mask = np.zeros((n, m), dtype=bool)
+        self.in_mask[dst, sym] = True
+        _frozen(self.out_mask)
+        _frozen(self.in_mask)
+        return self
 
     @property
     def state_count(self) -> int:
@@ -94,7 +138,7 @@ class Lts:
 
     @property
     def transition_count(self) -> int:
-        return sum(len(s) for d in self.succ for s in d.values())
+        return len(self.src)
 
     def state_id(self, name: str) -> int:
         try:
@@ -108,18 +152,17 @@ class Lts:
         except KeyError:
             raise LtsError(f"unknown symbol {name!r}") from None
 
-    def successors(self, u: int, a: int) -> frozenset:
-        return self.succ[a].get(u, frozenset())
+    def successors(self, u: int, a: int) -> np.ndarray:
+        """The a-successors of u, ascending."""
+        return self.succ_data[a][self.succ_indptr[a, u] : self.succ_indptr[a, u + 1]]
 
-    def predecessors(self, w: int, a: int) -> frozenset:
-        return self.pred[a].get(w, frozenset())
+    def predecessors(self, w: int, a: int) -> np.ndarray:
+        """The a-predecessors of w, ascending."""
+        return self.pred_data[a][self.pred_indptr[a, w] : self.pred_indptr[a, w + 1]]
 
     def transitions(self):
-        """Yield (src, symbol, dst) id triples in ascending order."""
-        for a in range(self.symbol_count):
-            for u in sorted(self.succ[a]):
-                for w in sorted(self.succ[a][u]):
-                    yield u, a, w
+        """Iterate over (src, symbol, dst) id triples ordered by symbol, src, dst."""
+        return zip(self.src.tolist(), self.sym.tolist(), self.dst.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Lts):
@@ -127,7 +170,9 @@ class Lts:
         return (
             self.state_names == other.state_names
             and self.symbol_names == other.symbol_names
-            and self.succ == other.succ
+            and np.array_equal(self.src, other.src)
+            and np.array_equal(self.sym, other.sym)
+            and np.array_equal(self.dst, other.dst)
         )
 
     def __hash__(self):
@@ -176,69 +221,23 @@ def build_lts(transitions, states=(), symbols=()) -> Lts:
     return Lts.from_ids(state_names, symbol_names, triples)
 
 
-@dataclass(frozen=True)
-class InOutSets:
-    """Per-state input/output symbol sets and the per-symbol sets of emitting states.
-
-    ``has_out[a]`` is the set of states with an outgoing a-transition.
-    """
-
-    in_syms: tuple
-    out_syms: tuple
-    has_out: tuple
-
-    def block_in(self, states) -> frozenset:
-        """Input symbols of a block: the union of its members' input symbols."""
-        result = set()
-        for v in states:
-            result |= self.in_syms[v]
-        return frozenset(result)
-
-
-def in_out_sets(lts: Lts) -> InOutSets:
-    n, m = lts.state_count, lts.symbol_count
-    in_syms = [set() for _ in range(n)]
-    out_syms = [set() for _ in range(n)]
-    has_out = [set() for _ in range(m)]
-    for a in range(m):
-        for u, targets in lts.succ[a].items():
-            if targets:
-                out_syms[u].add(a)
-                has_out[a].add(u)
-        for w, sources in lts.pred[a].items():
-            if sources:
-                in_syms[w].add(a)
-    return InOutSets(
-        in_syms=tuple(frozenset(s) for s in in_syms),
-        out_syms=tuple(frozenset(s) for s in out_syms),
-        has_out=tuple(frozenset(s) for s in has_out),
-    )
-
-
 def out_preorder(lts: Lts) -> StateRelation:
     """The output preorder: (u,v) related iff out(u) is a subset of out(v)."""
-    n, m = lts.state_count, lts.symbol_count
-    out = np.zeros((n, m), dtype=bool)
-    for a in range(m):
-        for u, targets in lts.succ[a].items():
-            if targets:
-                out[u, a] = True
     # (u,v) fails iff u emits some symbol v does not.
-    if m == 0:
-        return StateRelation.full(n)
-    o = out.astype(np.float32)
-    bad = (o @ (1.0 - o).T) > 0.5
-    return StateRelation(~bad)
+    o = lts.out_mask.astype(np.float32)
+    return StateRelation((o @ (1.0 - o).T) < 0.5)
 
 
 def is_simulation(lts: Lts, rho: StateRelation) -> bool:
     """Check the simulation condition for every related pair directly."""
     if rho.size != lts.state_count:
         raise LtsError("relation size does not match state count")
+    succ = [[[] for _ in range(lts.symbol_count)] for _ in range(lts.state_count)]
+    for u, a, w in lts.transitions():
+        succ[u][a].append(w)
     for u, v in rho.pairs():
-        for a in range(lts.symbol_count):
-            targets_v = lts.successors(v, a)
-            for u2 in lts.successors(u, a):
+        for targets_u, targets_v in zip(succ[u], succ[v]):
+            for u2 in targets_u:
                 if not any(rho.has(u2, v2) for v2 in targets_v):
                     return False
     return True
@@ -255,10 +254,8 @@ def quotient(lts: Lts, pair) -> Lts:
     canon = pair.canonical()
     block_names = [min(lts.state_names[v] for v in block) for block in canon.blocks]
     block_of = canon.block_of
-    triples = set()
-    for u, a, w in lts.transitions():
-        triples.add((int(block_of[u]), a, int(block_of[w])))
-    return Lts.from_ids(block_names, lts.symbol_names, sorted(triples))
+    triples = np.column_stack([block_of[lts.src], lts.sym, block_of[lts.dst]])
+    return Lts.from_ids(block_names, lts.symbol_names, triples)
 
 
 # -- text formats ----------------------------------------------------------
@@ -284,10 +281,8 @@ def parse_lts(text: str) -> Lts:
 
 
 def serialize_lts(lts: Lts) -> str:
-    lines = sorted(
-        f"{lts.state_names[u]} {lts.symbol_names[a]} {lts.state_names[w]}"
-        for u, a, w in lts.transitions()
-    )
+    states, symbols = lts.state_names, lts.symbol_names
+    lines = sorted(f"{states[u]} {symbols[a]} {states[w]}" for u, a, w in lts.transitions())
     return "\n".join(lines) + "\n" if lines else ""
 
 

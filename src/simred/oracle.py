@@ -1,7 +1,9 @@
 """Brute-force fixpoint oracles used as ground truth in tests.
 
 Everything here is written in plain delete-and-sweep style on purpose and
-shares no code with the refinement engines; independence is the point.
+shares no code with the refinement engines; independence is the point.  The
+LTS oracle reads only ``Lts.transitions()``, not the CSR arrays the engines
+use.  :func:`split` is the set-level twin of the engine's partition split.
 Intended for small inputs only.
 """
 
@@ -10,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lts import Lts
+from .partition import PartitionError
 from .relation import StateRelation
 
-__all__ = ["OracleResult", "max_simulation_naive", "downward_naive", "upward_naive"]
+__all__ = ["OracleResult", "max_simulation_naive", "downward_naive", "upward_naive", "split"]
 
 
 @dataclass
@@ -39,7 +42,9 @@ def max_simulation_naive(lts: Lts, init: StateRelation, reverse_sweep: bool = Fa
     init.require_preorder("initial relation")
     m = init.matrix.copy()
     n = lts.state_count
-    symbols = range(lts.symbol_count)
+    succ = [[[] for _ in range(lts.symbol_count)] for _ in range(n)]
+    for u, a, w in lts.transitions():
+        succ[u][a].append(w)
     rounds = 0
     changed = True
     while changed:
@@ -49,9 +54,8 @@ def max_simulation_naive(lts: Lts, init: StateRelation, reverse_sweep: bool = Fa
             for v in _sweep_indices(n, reverse_sweep):
                 if not m[u, v]:
                     continue
-                for a in symbols:
-                    targets_v = lts.successors(v, a)
-                    for u2 in lts.successors(u, a):
+                for targets_u, targets_v in zip(succ[u], succ[v]):
+                    for u2 in targets_u:
                         if not any(m[u2, v2] for v2 in targets_v):
                             m[u, v] = False
                             changed = True
@@ -136,3 +140,40 @@ def upward_naive(ta, d: StateRelation) -> StateRelation:
                         changed = True
                         break
     return StateRelation(m)
+
+
+def split(partition, remove):
+    """Refine ``partition`` by a state set: each block B becomes B-remove and
+    B&remove, empty parts discarded.
+
+    Returns ``(blocks, parent_map)``.  Unsplit blocks and the surviving
+    B-remove parts keep their index; the B&remove parts are appended in
+    ascending parent order.  ``parent_map`` sends every result index to the
+    index of its originating block.
+    """
+    remove = set(remove)
+    blocks = [tuple(sorted(block)) for block in partition]
+    universe = set()
+    for block in blocks:
+        universe.update(block)
+    if not remove <= universe:
+        raise PartitionError("remove set is not a subset of the partition's states")
+
+    result: list[tuple[int, ...]] = []
+    parent_map: dict[int, int] = {}
+    appended: list[tuple[tuple[int, ...], int]] = []
+    for i, block in enumerate(blocks):
+        inside = tuple(v for v in block if v in remove)
+        outside = tuple(v for v in block if v not in remove)
+        if inside and outside:
+            result.append(outside)
+            parent_map[i] = i
+            appended.append((inside, i))
+        else:
+            # one side empty: the block is unchanged
+            result.append(block)
+            parent_map[i] = i
+    for inside, parent in appended:
+        parent_map[len(result)] = parent
+        result.append(inside)
+    return result, parent_map

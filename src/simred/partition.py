@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lts import Lts, in_out_sets
+from .lts import Lts
 from .relation import StateRelation
 
 __all__ = [
     "PartitionError",
     "PartitionRelationPair",
     "coarsest_pair",
-    "split",
     "refine_by_out",
     "validate_coarsest",
 ]
@@ -152,92 +151,39 @@ def validate_coarsest(pair: PartitionRelationPair) -> None:
         )
 
 
-def split(partition, remove):
-    """Refine ``partition`` by a state set: each block B becomes B-remove and
-    B&remove, empty parts discarded.
-
-    Returns ``(blocks, parent_map)``.  Unsplit blocks and the surviving
-    B-remove parts keep their index; the B&remove parts are appended in
-    ascending parent order.  ``parent_map`` sends every result index to the
-    index of its originating block.
-    """
-    remove = set(remove)
-    blocks = [tuple(sorted(block)) for block in partition]
-    universe = set()
-    for block in blocks:
-        universe.update(block)
-    if not remove <= universe:
-        raise PartitionError("remove set is not a subset of the partition's states")
-
-    result: list[tuple[int, ...]] = []
-    parent_map: dict[int, int] = {}
-    appended: list[tuple[tuple[int, ...], int]] = []
-    for i, block in enumerate(blocks):
-        inside = tuple(v for v in block if v in remove)
-        outside = tuple(v for v in block if v not in remove)
-        if inside and outside:
-            result.append(outside)
-            parent_map[i] = i
-            appended.append((inside, i))
-        else:
-            # one side empty: the block is unchanged
-            result.append(block)
-            parent_map[i] = i
-    for inside, parent in appended:
-        parent_map[len(result)] = parent
-        result.append(inside)
-    return result, parent_map
+def _row_classes(rows: np.ndarray):
+    """Group identical rows of a uint8 matrix: the index of one row per class
+    and the class of every row."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    _, first, cls = np.unique(keys, return_index=True, return_inverse=True)
+    return first, cls.ravel()
 
 
 def refine_by_out(initial: PartitionRelationPair, lts: Lts) -> PartitionRelationPair:
     """Coarsest pair inducing I & Out, from the coarsest pair of a preorder I.
 
-    Splits successively by the per-symbol sets of emitting states, breaking
-    the block relation between emitters and non-emitters of each symbol, then
-    re-coarsens by merging blocks with identical relation rows and columns.
+    Each refined block is one (initial block, ``out_mask`` row) group; two
+    groups are related iff their initial blocks are and the first group's
+    output symbols are a subset of the second's.  Groups with identical
+    relation rows and columns then merge back into one block.
     """
     validate_coarsest(initial)
     if initial.state_count != lts.state_count:
         raise PartitionError("pair does not cover this LTS's states")
-    sets = in_out_sets(lts)
     n = lts.state_count
+    block_of = initial.block_of
+    sig = np.column_stack(
+        [block_of.view(np.uint8).reshape(n, -1), np.packbits(lts.out_mask, axis=1)]
+    )
+    reps, group_of = _row_classes(sig)
+    o = lts.out_mask[reps].astype(np.float32)
+    parents = block_of[reps]
+    rel = initial.rel[np.ix_(parents, parents)] & ((o @ (1.0 - o).T) < 0.5)
 
-    members = [np.fromiter(b, dtype=np.int64) for b in initial.blocks]
-    rel = np.array(initial.rel, dtype=bool)
-
-    for a in range(lts.symbol_count):
-        mask = np.zeros(n, dtype=bool)
-        mask[list(sets.has_out[a])] = True
-        new_members: list[np.ndarray] = []
-        parents: list[int] = []
-        appended: list[tuple[np.ndarray, int]] = []
-        for i, mem in enumerate(members):
-            inside = mem[mask[mem]]
-            if inside.size == 0 or inside.size == mem.size:
-                new_members.append(mem)
-                parents.append(i)
-                continue
-            new_members.append(mem[~mask[mem]])
-            parents.append(i)
-            appended.append((inside, i))
-        for inside, parent in appended:
-            new_members.append(inside)
-            parents.append(parent)
-        members = new_members
-        pidx = np.array(parents)
-        rel = rel[np.ix_(pidx, pidx)]
-        emits = np.array([bool(mask[mem[0]]) for mem in members])
-        if emits.any() and (~emits).any():
-            rel[np.ix_(emits, ~emits)] = False
-
-    # Re-coarsen: merge blocks whose relation rows and columns coincide.
-    relt = np.ascontiguousarray(rel.T)
-    groups: dict[bytes, list[int]] = {}
-    for i in range(len(members)):
-        key = rel[i].tobytes() + relt[i].tobytes()
-        groups.setdefault(key, []).append(i)
-    merged = [np.concatenate([members[i] for i in g]) for g in groups.values()]
-    reps = np.array([g[0] for g in groups.values()], dtype=np.int64)
-    return PartitionRelationPair(
-        [np.sort(m) for m in merged], rel[np.ix_(reps, reps)]
-    ).canonical()
+    # Re-coarsen: merge groups whose relation rows and columns coincide.
+    keep, merged_of = _row_classes(np.packbits(np.concatenate([rel, rel.T], axis=1), axis=1))
+    label = merged_of[group_of]
+    order = np.argsort(label, kind="stable")
+    blocks = np.split(order, np.cumsum(np.bincount(label))[:-1])
+    return PartitionRelationPair(blocks, rel[np.ix_(keep, keep)]).canonical()

@@ -386,7 +386,7 @@ def downward_translation(ta: TreeAutomaton) -> TranslationResult:
         triples.add((tgt, sym, lnode))
         for i, qi in enumerate(lhs):
             triples.add((lnode, m + i, qi))
-    lts = Lts.from_ids(state_names, symbol_names, sorted(triples))
+    lts = Lts.from_ids(state_names, symbol_names, list(triples))
 
     # specialized initial pair for full & Out
     rule_syms: list[set] = [set() for _ in range(nq)]
@@ -446,7 +446,7 @@ def upward_translation(ta: TreeAutomaton, d: StateRelation) -> TranslationResult
             enode = nq + env_ids[env]
             triples.add((qi, m + i, enode))
             triples.add((enode, sym, tgt))
-    lts = Lts.from_ids(state_names, symbol_names, sorted(triples))
+    lts = Lts.from_ids(state_names, symbol_names, list(triples))
 
     # raw initial preorder
     init = np.zeros((n, n), dtype=bool)

@@ -184,6 +184,19 @@ def test_minimize_ta_unchanged(tmp_path, capsys, t1_text):
     assert "Ops a:0 g:1" in out
 
 
+@pytest.mark.parametrize(
+    "extra", [["--init", "/nonexistent/init.rel"], ["--init", "BAD"], ["--closure"]]
+)
+def test_minimize_ta_rejects_init_and_closure(tmp_path, capsys, t1_text, extra):
+    ta = write(tmp_path / "t1.timbuk", t1_text)
+    if extra[-1] == "BAD":
+        extra = ["--init", write(tmp_path / "bad.rel", "q0 q1\n"), "--closure"]
+    code, out, err = run(["minimize", ta, *extra], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == "simred: --init/--closure apply to LTS input only\n"
+
+
 def test_gen_deterministic(tmp_path, capsys):
     a = tmp_path / "a.lts"
     b = tmp_path / "b.lts"
@@ -219,7 +232,7 @@ def test_gen_bad_params_exit_4(capsys):
 
 def test_gen_sparsity_menu_statistics(tmp_path, capsys):
     # sparsity 0.25 with 16 symbols: each state draws from a 4-symbol menu
-    from simred import parse_lts, in_out_sets
+    from simred import parse_lts
 
     sizes = []
     for seed in range(100):
@@ -230,9 +243,8 @@ def test_gen_sparsity_menu_statistics(tmp_path, capsys):
         )
         assert code == 0
         lts = parse_lts(out)
-        sets = in_out_sets(lts)
-        by_name = {lts.state_names[v]: sets.out_syms[v] for v in range(lts.state_count)}
-        sizes.extend(len(s) for s in by_name.values())
+        by_name = {lts.state_names[v]: lts.out_mask[v] for v in range(lts.state_count)}
+        sizes.extend(int(row.sum()) for row in by_name.values())
     mean = sum(sizes) / len(sizes)
     # with edge probability 0.9 nearly the whole 4-symbol menu is used
     assert 4 * 0.8 <= mean <= 4 * 1.2

@@ -177,16 +177,14 @@ def test_output_laws_random():
 
 def test_optimized_mode_allocates_only_entering_symbols():
     # no Remove set or counter array may exist for a symbol outside in(B)
-    from simred import in_out_sets
-
     for seed in range(12):
         n = 3 + seed % 6
         lts = random_lts(n, 3, edge_prob=0.3, seed=seed, sparsity=0.7)
-        sets = in_out_sets(lts)
         state = EngineState(lts, full_init(n))
         while True:
             for bid in range(state._nb):
-                allowed = sets.block_in(state._members[bid])
+                entering = lts.in_mask[state._members[bid]].any(axis=0)
+                allowed = set(np.flatnonzero(entering).tolist())
                 assert set(state._counts[bid]) <= allowed
                 assert set(state._removes[bid]) <= allowed
             if not engine_step(state):
@@ -266,7 +264,7 @@ def test_decrement_cache_holds_live_blocks_only():
         assert len(keys) == len(set(keys))  # one entry per (block, symbol)
         for (bid, b), (idx, _) in zip(keys, state._dec_cache.values()):
             # each entry matches the block's current members
-            fresh = state._adj.preds_of(b, state._members[bid])
+            fresh = state._preds_of(b, state._members[bid])
             if state.restrict_remove:
                 fresh = state._adj.counter_slot[b][fresh]
             assert np.array_equal(idx, fresh)
@@ -296,10 +294,7 @@ def test_resource_dominance_and_strictness():
             lts, init, out_init=False, restrict_to_in=False, restrict_remove=False
         )
         assert om.counters_allocated <= lm.counters_allocated
-        from simred import in_out_sets
-
-        sets = in_out_sets(lts)
-        some_gap = any(len(s) < m for s in sets.out_syms)
+        some_gap = bool((lts.out_mask.sum(axis=1) < m).any())
         if some_gap and om.counters_allocated < lm.counters_allocated:
             strict_seen = True
     assert strict_seen

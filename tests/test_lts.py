@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from simred import (
@@ -7,7 +8,6 @@ from simred import (
     StateRelation,
     build_lts,
     coarsest_pair,
-    in_out_sets,
     is_simulation,
     out_preorder,
     parse_lts,
@@ -21,6 +21,22 @@ from simred.generate import random_lts
 
 def names(lts, ids):
     return {lts.state_names[v] for v in ids}
+
+
+def out_syms(lts, v):
+    return frozenset(np.flatnonzero(lts.out_mask[v]).tolist())
+
+
+def in_syms(lts, v):
+    return frozenset(np.flatnonzero(lts.in_mask[v]).tolist())
+
+
+def emitters(lts, a):
+    return np.flatnonzero(lts.out_mask[:, a]).tolist()
+
+
+def block_in(lts, states):
+    return frozenset(np.flatnonzero(lts.in_mask[list(states)].any(axis=0)).tolist())
 
 
 def test_build_single_edge():
@@ -56,35 +72,33 @@ def test_build_declared_states_only():
 def test_forward_reverse_consistency():
     lts = random_lts(12, 3, edge_prob=0.2, seed=5)
     for a in range(lts.symbol_count):
-        for u, targets in lts.succ[a].items():
-            for w in targets:
+        for u in range(lts.state_count):
+            for w in lts.successors(u, a):
                 assert u in lts.predecessors(w, a)
-        for w, sources in lts.pred[a].items():
-            for u in sources:
+        for w in range(lts.state_count):
+            for u in lts.predecessors(w, a):
                 assert w in lts.successors(u, a)
 
 
 def test_in_out_sets_l1(l1):
-    sets = in_out_sets(l1)
     p, q, r = (l1.state_id(s) for s in "pqr")
     a, b = l1.symbol_id("a"), l1.symbol_id("b")
-    assert sets.out_syms[p] == {a}
-    assert sets.out_syms[q] == {b}
-    assert sets.out_syms[r] == {a}
-    assert sets.in_syms[q] == {a, b}
-    assert sets.in_syms[p] == frozenset() and sets.in_syms[r] == frozenset()
-    assert names(l1, sets.has_out[a]) == {"p", "r"}
-    assert names(l1, sets.has_out[b]) == {"q"}
-    assert sets.block_in([p, r]) == frozenset()
-    assert sets.block_in([p, q]) == {a, b}
+    assert out_syms(l1, p) == {a}
+    assert out_syms(l1, q) == {b}
+    assert out_syms(l1, r) == {a}
+    assert in_syms(l1, q) == {a, b}
+    assert in_syms(l1, p) == frozenset() and in_syms(l1, r) == frozenset()
+    assert names(l1, emitters(l1, a)) == {"p", "r"}
+    assert names(l1, emitters(l1, b)) == {"q"}
+    assert block_in(l1, [p, r]) == frozenset()
+    assert block_in(l1, [p, q]) == {a, b}
 
 
 def test_in_out_sets_edgeless():
     lts = build_lts([], states=["x"], symbols=["a"])
-    sets = in_out_sets(lts)
-    assert sets.out_syms[0] == frozenset()
-    assert sets.in_syms[0] == frozenset()
-    assert sets.has_out[0] == frozenset()
+    assert out_syms(lts, 0) == frozenset()
+    assert in_syms(lts, 0) == frozenset()
+    assert emitters(lts, 0) == []
 
 
 def test_out_preorder_l1(l1):

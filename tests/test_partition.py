@@ -8,9 +8,9 @@ from simred import (
     coarsest_pair,
     out_preorder,
     refine_by_out,
-    split,
     validate_coarsest,
 )
+from simred.oracle import split
 from simred.generate import random_lts, random_preorder
 
 

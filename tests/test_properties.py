@@ -1,0 +1,89 @@
+"""Property tests of the array-backed Lts and the out-preorder refinement."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from simred import (  # noqa: E402
+    Lts,
+    StateRelation,
+    coarsest_pair,
+    out_preorder,
+    parse_lts,
+    quotient,
+    refine_by_out,
+    serialize_lts,
+)
+
+small = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+
+
+@st.composite
+def lts_parts(draw, min_edges=0):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+    triple = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1), st.integers(0, n - 1))
+    triples = draw(st.lists(triple, min_size=min_edges, max_size=20))
+    return [f"s{i}" for i in range(n)], [f"a{j}" for j in range(m)], triples
+
+
+@st.composite
+def lts_and_preorder(draw):
+    states, symbols, triples = draw(lts_parts())
+    n = len(states)
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    base = StateRelation(np.array(bits, dtype=bool).reshape(n, n))
+    return Lts.from_ids(states, symbols, triples), base.reflexive_transitive_closure()
+
+
+@small
+@given(lts_parts(), st.randoms(use_true_random=False))
+def test_from_ids_ignores_order_and_duplicates(parts, rnd):
+    states, symbols, triples = parts
+    shuffled = triples + rnd.sample(triples, len(triples) // 2)
+    rnd.shuffle(shuffled)
+    lts = Lts.from_ids(states, symbols, triples)
+    assert Lts.from_ids(states, symbols, shuffled) == lts
+    assert list(lts.transitions()) == sorted(set(triples), key=lambda t: (t[1], t[0], t[2]))
+
+
+@small
+@given(lts_parts(min_edges=1))
+def test_parse_serialize_round_trip(parts):
+    lts = parse_lts(serialize_lts(Lts.from_ids(*parts)))
+    assert parse_lts(serialize_lts(lts)) == lts
+
+
+@small
+@given(lts_parts())
+def test_adjacency_matches_triple_set(parts):
+    states, symbols, triples = parts
+    lts = Lts.from_ids(states, symbols, triples)
+    model = set(triples)
+    assert lts.transition_count == len(model)
+    for u in range(len(states)):
+        for a in range(len(symbols)):
+            succ = sorted(w for x, b, w in model if (x, b) == (u, a))
+            pred = sorted(x for x, b, w in model if (w, b) == (u, a))
+            assert lts.successors(u, a).tolist() == succ
+            assert lts.predecessors(u, a).tolist() == pred
+            assert lts.out_mask[u, a] == bool(succ)
+            assert lts.in_mask[u, a] == bool(pred)
+
+
+@small
+@given(lts_parts())
+def test_quotient_by_identity_is_identity(parts):
+    lts = Lts.from_ids(*parts)
+    identity = coarsest_pair(StateRelation.identity(lts.state_count))
+    assert quotient(lts, identity) == lts
+
+
+@small
+@given(lts_and_preorder())
+def test_refine_by_out_is_coarsest_pair_of_intersection(case):
+    lts, init = case
+    expected = coarsest_pair(StateRelation(init.matrix & out_preorder(lts).matrix))
+    assert refine_by_out(coarsest_pair(init), lts) == expected

@@ -19,7 +19,6 @@ from simred import (
     upward_translation,
 )
 from simred.generate import random_ta
-from simred.lts import in_out_sets
 
 
 def lts_names(tr):
@@ -83,11 +82,10 @@ def test_downward_translation_structure_random():
         tr = downward_translation(ta)
         lhs, _ = lhs_and_envs(ta)
         assert tr.lts.state_count == ta.state_count + len(lhs)
-        sets = in_out_sets(tr.lts)
         for sid, (kind, payload) in enumerate(tr.back_map):
             if kind == "lhs":
                 expect = {ta.symbol_count + i for i in range(len(payload))}
-                assert sets.out_syms[sid] == expect
+                assert set(np.flatnonzero(tr.lts.out_mask[sid]).tolist()) == expect
 
 
 def test_specialized_init_equals_generic_downward(t1):
@@ -122,11 +120,10 @@ def test_envs_with_distinct_symbols_not_out_related():
         ["q0", "q"], ["f", "g"], [1, 1], [((0,), 0, 1), ((0,), 1, 1)], []
     )
     tr = upward_translation(ta, StateRelation.identity(2))
-    sets = in_out_sets(tr.lts)
     env_ids = [sid for sid, (kind, _) in enumerate(tr.back_map) if kind == "env"]
     assert len(env_ids) == 2
     e1, e2 = env_ids
-    assert sets.out_syms[e1] != sets.out_syms[e2]
+    assert not np.array_equal(tr.lts.out_mask[e1], tr.lts.out_mask[e2])
     induced = tr.initial.induced_relation()
     assert not induced.has(e1, e2) and not induced.has(e2, e1)
 
