@@ -68,9 +68,10 @@ def _emit(text: str, output: str | None) -> None:
         _write(output, text)
 
 
-def _load_lts(path: str) -> Lts:
+def _load_lts(path: str, text: str) -> Lts:
+    """Parse ``text``, read from ``path``, mapping parse errors to exit 2."""
     try:
-        return parse_lts(_read(path))
+        return parse_lts(text)
     except LtsError as exc:
         raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
 
@@ -136,7 +137,7 @@ def _run_lts_algorithm(lts: Lts, args):
 
 
 def _cmd_sim_lts(args) -> int:
-    lts = _load_lts(args.input)
+    lts = _load_lts(args.input, _read(args.input))
     pair, metrics = _run_lts_algorithm(lts, args)
     if args.format == "pairs":
         _emit(serialize_relation(pair.induced_relation(), lts), args.output)
@@ -151,17 +152,12 @@ def _cmd_sim_lts(args) -> int:
     return EXIT_OK
 
 
-def _load_ta(path: str) -> _tree.TreeAutomaton:
+def _load_ta(path: str, text: str) -> _tree.TreeAutomaton:
+    """Parse ``text``, read from ``path``, mapping parse errors to exit 2."""
     try:
-        return _tree.parse_timbuk(_read(path))
+        return _tree.parse_timbuk(text)
     except TreeError as exc:
         raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
-
-
-def _ta_relation_text(ta, rel: StateRelation) -> str:
-    names = ta.state_names
-    lines = sorted(f"{names[q]} {names[r]}" for q, r in rel.pairs())
-    return "\n".join(lines) + "\n" if lines else ""
 
 
 def _downward_for(ta, algo: str) -> StateRelation:
@@ -171,9 +167,9 @@ def _downward_for(ta, algo: str) -> StateRelation:
 
 
 def _cmd_ta_down(args) -> int:
-    ta = _load_ta(args.input)
+    ta = _load_ta(args.input, _read(args.input))
     rel = _downward_for(ta, args.algo)
-    _emit(_ta_relation_text(ta, rel), args.output)
+    _emit(serialize_relation(rel, ta), args.output)
     return EXIT_OK
 
 
@@ -201,7 +197,7 @@ def _is_downward_simulation(ta, rel: StateRelation) -> str | None:
 
 
 def _cmd_ta_up(args) -> int:
-    ta = _load_ta(args.input)
+    ta = _load_ta(args.input, _read(args.input))
     if args.init is not None:
         d = _load_relation(args.init, ta)
         reason = _is_downward_simulation(ta, d)
@@ -215,7 +211,7 @@ def _cmd_ta_up(args) -> int:
         rel = _oracle.upward_naive(ta, d)
     else:
         rel = _tree.upward_simulation(ta, d, algorithm=args.algo)
-    _emit(_ta_relation_text(ta, rel), args.output)
+    _emit(serialize_relation(rel, ta), args.output)
     return EXIT_OK
 
 
@@ -232,17 +228,14 @@ def _cmd_minimize(args) -> int:
     if _sniff_is_ta(text):
         if args.init is not None or args.closure:
             raise _CliError(EXIT_PARAMS, "--init/--closure apply to LTS input only")
-        try:
-            ta = _tree.parse_timbuk(text)
-        except TreeError as exc:
-            raise _CliError(EXIT_PARSE, f"{args.input}: {exc}") from exc
+        ta = _load_ta(args.input, text)
         d = _downward_for(ta, args.algo)
         blocks = coarsest_pair(d).blocks
         reduced = _tree.ta_quotient(ta, blocks)
         before, after = ta.state_count, reduced.state_count
         _emit(_tree.serialize_timbuk(reduced), args.output)
     else:
-        lts = _load_lts(args.input)
+        lts = _load_lts(args.input, text)
         pair, _ = _run_lts_algorithm(lts, args)
         reduced = quotient(lts, pair)
         before, after = lts.state_count, reduced.state_count

@@ -518,7 +518,7 @@ class EngineState:
     def current_pair(self) -> PartitionRelationPair:
         """Canonical snapshot of the live partition-relation pair."""
         order = sorted(range(self._nb), key=lambda i: int(self._members[i][0]))
-        perm = np.array(order)
+        perm = np.array(order, dtype=np.int64)
         blocks = [self._members[i] for i in order]
         return PartitionRelationPair(blocks, self._rel[np.ix_(perm, perm)])
 

@@ -311,7 +311,12 @@ def parse_relation(text: str, states) -> StateRelation:
     return rel
 
 
-def serialize_relation(rel: StateRelation, lts: Lts) -> str:
-    names = lts.state_names
+def serialize_relation(rel: StateRelation, states) -> str:
+    """One ``U V`` name pair per line, sorted.
+
+    ``states`` is anything with ``state_names`` (an :class:`Lts` or a tree
+    automaton).
+    """
+    names = states.state_names
     lines = sorted(f"{names[u]} {names[v]}" for u, v in rel.pairs())
     return "\n".join(lines) + "\n" if lines else ""

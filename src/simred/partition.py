@@ -172,6 +172,8 @@ def refine_by_out(initial: PartitionRelationPair, lts: Lts) -> PartitionRelation
     if initial.state_count != lts.state_count:
         raise PartitionError("pair does not cover this LTS's states")
     n = lts.state_count
+    if n == 0:
+        return initial
     block_of = initial.block_of
     sig = np.column_stack(
         [block_of.view(np.uint8).reshape(n, -1), np.packbits(lts.out_mask, axis=1)]

@@ -6,6 +6,11 @@ distinct rule left-hand side; the upward reduction adds one per automaton
 state and per distinct environment (a rule with one left-hand-side position
 replaced by a hole).  Position labels form their own id range after the
 ranked alphabet, so they can never collide with user symbols.
+
+Each translation also returns the coarsest partition-relation pair of its
+initial preorder, built block-wise without an n x n matrix; the engines take
+it like any other initial pair, and OLRT intersects it with the output
+preorder itself.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .engine import lrt, olrt
 from .lts import IDENTIFIER_RE, Lts
-from .partition import PartitionRelationPair, coarsest_pair
+from .partition import PartitionRelationPair, _row_classes
 from .relation import StateRelation
 
 __all__ = [
@@ -330,32 +335,16 @@ def lhs_and_envs(ta: TreeAutomaton):
 class TranslationResult:
     """An LTS encoding of a tree-automaton simulation problem.
 
-    ``initial`` is the coarsest pair of the raw initial preorder intersected
-    with the output preorder (built by the specialized constant-time rules);
-    ``init_relation`` is that raw initial preorder itself.  ``back_map``
-    tags every LTS state with its source: ("state", q), ("lhs", tuple) or
-    ("env", Environment).
+    ``initial`` is the coarsest pair of the reduction's initial preorder I,
+    which both engines take as given: OLRT intersects it with the output
+    preorder itself, LRT refines it as it is.  Automaton states keep their
+    ids, so they come first; ``back_map`` tags every LTS state with its
+    source: ("state", q), ("lhs", tuple) or ("env", Environment).
     """
 
     lts: Lts
     initial: PartitionRelationPair
-    init_relation: StateRelation
     back_map: tuple
-
-
-def _pair_from_keys(keys: list, le) -> PartitionRelationPair:
-    """Group ids by key and relate blocks with the key order ``le``."""
-    groups: dict = {}
-    for v, key in enumerate(keys):
-        groups.setdefault(key, []).append(v)
-    blocks = sorted(groups.values(), key=lambda g: g[0])
-    block_keys = [keys[g[0]] for g in blocks]
-    k = len(blocks)
-    rel = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(k):
-            rel[i, j] = le(block_keys[i], block_keys[j])
-    return PartitionRelationPair(blocks, rel)
 
 
 def downward_translation(ta: TreeAutomaton) -> TranslationResult:
@@ -363,10 +352,7 @@ def downward_translation(ta: TreeAutomaton) -> TranslationResult:
 
     Every rule (q1..qn, f, q) yields an f-edge from q to the left-hand-side
     node and a position-i edge from that node to each qi.  The initial
-    preorder is the full relation; the initial pair is its output-preorder
-    refinement, built without per-symbol scans: left-hand sides compare by
-    length, automaton states by their sets of rule symbols, and a left-hand
-    side sits above an automaton state only when the state emits nothing.
+    preorder is the full relation: one block, related to itself.
     """
     lhs_list, _ = lhs_and_envs(ta)
     lhs_ids = {l: i for i, l in enumerate(lhs_list)}
@@ -388,41 +374,25 @@ def downward_translation(ta: TreeAutomaton) -> TranslationResult:
             triples.add((lnode, m + i, qi))
     lts = Lts.from_ids(state_names, symbol_names, list(triples))
 
-    # specialized initial pair for full & Out
-    rule_syms: list[set] = [set() for _ in range(nq)]
-    for lhs, sym, tgt in ta.rules:
-        rule_syms[tgt].add(sym)
-    keys: list = [("sig", frozenset(rule_syms[q])) for q in range(nq)]
-    for l in lhs_list:
-        keys.append(("len", len(l)) if l else ("sig", frozenset()))
-
-    def le(k1, k2):
-        t1, v1 = k1
-        t2, v2 = k2
-        if t1 == "sig" and t2 == "sig":
-            return v1 <= v2
-        if t1 == "sig" and t2 == "len":
-            return not v1  # only an emitting-nothing state sits below a lhs node
-        if t1 == "len" and t2 == "len":
-            return v1 <= v2
-        return False  # a nonempty lhs never sits below an automaton state
-
-    initial = _pair_from_keys(keys, le)
+    blocks = [range(n)] if n else []
+    initial = PartitionRelationPair(blocks, np.ones((len(blocks), len(blocks)), dtype=bool))
     back_map = tuple(
         [("state", q) for q in range(nq)] + [("lhs", l) for l in lhs_list]
     )
-    return TranslationResult(lts, initial, StateRelation.full(n), back_map)
+    return TranslationResult(lts, initial, back_map)
 
 
 def upward_translation(ta: TreeAutomaton, d: StateRelation) -> TranslationResult:
-    """LTS encoding of the upward simulation problem induced by ``d``.
+    """LTS encoding of the upward simulation problem induced by the downward
+    preorder ``d``.
 
     Every rule t = (q1..qn, f, q) yields, for each position i, an i-edge from
     qi to the environment t(i) and an f-edge from t(i) to q.  The initial
     preorder relates automaton states by final-state implication and
     environments with the same symbol and hole position whose remaining
-    states are componentwise d-related; environments compare in the output
-    preorder by their symbol alone.
+    states are componentwise d-related; it never relates the two kinds.
+    Its coarsest pair has at most two state blocks (non-final below final)
+    and one environment block per (symbol, hole, d-classes of the others).
     """
     if d.size != ta.state_count:
         raise TreeError("downward relation size does not match state count")
@@ -432,7 +402,6 @@ def upward_translation(ta: TreeAutomaton, d: StateRelation) -> TranslationResult
     _, envs = lhs_and_envs(ta)
     env_ids = {e: i for i, e in enumerate(envs)}
     nq = ta.state_count
-    n = nq + len(envs)
     rmax = ta.max_rank
 
     state_names = list(ta.state_names) + [e.describe(ta) for e in envs]
@@ -448,94 +417,70 @@ def upward_translation(ta: TreeAutomaton, d: StateRelation) -> TranslationResult
             triples.add((enode, sym, tgt))
     lts = Lts.from_ids(state_names, symbol_names, list(triples))
 
-    # raw initial preorder
-    init = np.zeros((n, n), dtype=bool)
-    finals = np.zeros(nq, dtype=bool)
-    finals[sorted(ta.finals)] = True
-    init[:nq, :nq] = ~finals[:, None] | finals[None, :]
+    # automaton states: one block per final flag that occurs, non-final below final
+    is_final = np.zeros(nq, dtype=bool)
+    is_final[sorted(ta.finals)] = True
+    flags = np.unique(is_final)
+    blocks = [np.flatnonzero(is_final == f) for f in flags]
+    state_rel = ~flags[:, None] | flags[None, :]
+
+    # environments: one block per (symbol, hole, d-classes of the others);
+    # rows of a preorder are equal iff the two states are mutually related
     dm = d.matrix
-    for e1, i1 in env_ids.items():
-        for e2, i2 in env_ids.items():
-            if (
-                e1.symbol == e2.symbol
-                and e1.hole == e2.hole
-                and len(e1.others) == len(e2.others)
-                and all(dm[a, b] for a, b in zip(e1.others, e2.others))
-            ):
-                init[nq + i1, nq + i2] = True
+    reps, dclass = _row_classes(np.packbits(dm, axis=1))
+    dc = dm[np.ix_(reps, reps)]
+    keys = np.full((len(envs), 1 + rmax), -1, dtype=np.int64)
+    for i, e in enumerate(envs):
+        keys[i, :2] = e.symbol, e.hole
+        keys[i, 2 : 1 + e.arity] = dclass[list(e.others)]
+    ukeys, env_block = np.unique(keys, axis=0, return_inverse=True)
+    env_block = env_block.ravel()
+    order = np.argsort(env_block, kind="stable")
+    blocks += np.split(nq + order, np.cumsum(np.bincount(env_block))[:-1]) if envs else []
+    # blocks of one (symbol, hole) are contiguous in the sorted keys and
+    # relate iff every position's d-classes do
+    env_rel = np.zeros((len(ukeys), len(ukeys)), dtype=bool)
+    _, starts, sizes = np.unique(ukeys[:, :2], axis=0, return_index=True, return_counts=True)
+    for s, size in zip(starts.tolist(), sizes.tolist()):
+        group = ukeys[s : s + size]
+        sub = np.ones((size, size), dtype=bool)
+        for p in range(ta.ranks[group[0, 0]] - 1):
+            cls = group[:, 2 + p]
+            sub &= dc[np.ix_(cls, cls)]
+        env_rel[s : s + size, s : s + size] = sub
 
-    # specialized initial pair: d-equivalence classes for environment slots,
-    # (final?, occupied positions) for automaton states
-    mutual = dm & dm.T
-    class_of = np.full(nq, -1, dtype=np.int64)
-    next_class = 0
-    for q in range(nq):
-        if class_of[q] < 0:
-            members = np.flatnonzero(mutual[q])
-            class_of[members] = next_class
-            next_class += 1
-    class_rep = [int(np.flatnonzero(class_of == c)[0]) for c in range(next_class)]
-
-    positions: list[set] = [set() for _ in range(nq)]
-    for lhs, sym, tgt in ta.rules:
-        for i, qi in enumerate(lhs):
-            positions[qi].add(i)
-    keys: list = [
-        ("q", q in ta.finals, frozenset(positions[q])) for q in range(nq)
-    ]
-    for e in envs:
-        keys.append(("e", e.symbol, e.hole, tuple(int(class_of[o]) for o in e.others)))
-
-    def le(k1, k2):
-        if k1[0] != k2[0]:
-            return False  # the raw initial preorder never crosses the two kinds
-        if k1[0] == "q":
-            _, f1, s1 = k1
-            _, f2, s2 = k2
-            return (not f1 or f2) and s1 <= s2
-        _, sym1, hole1, cls1 = k1
-        _, sym2, hole2, cls2 = k2
-        return (
-            sym1 == sym2
-            and hole1 == hole2
-            and len(cls1) == len(cls2)
-            and all(dm[class_rep[c1], class_rep[c2]] for c1, c2 in zip(cls1, cls2))
-        )
-
-    initial = _pair_from_keys(keys, le)
+    kq = len(flags)
+    rel = np.zeros((len(blocks), len(blocks)), dtype=bool)
+    rel[:kq, :kq] = state_rel
+    rel[kq:, kq:] = env_rel
     back_map = tuple(
         [("state", q) for q in range(nq)] + [("env", e) for e in envs]
     )
-    return TranslationResult(lts, initial, StateRelation(init), back_map)
+    return TranslationResult(lts, PartitionRelationPair(blocks, rel), back_map)
 
 
 # -- end-to-end pipelines -----------------------------------------------------
 
+_ENGINES = {"olrt": olrt, "lrt": lrt}
 
-def _run_translated(tr: TranslationResult, algorithm: str) -> StateRelation:
-    if algorithm == "olrt":
-        pair, _ = olrt(tr.lts, tr.initial)
-    elif algorithm == "lrt":
-        pair, _ = lrt(tr.lts, coarsest_pair(tr.init_relation))
-    else:
+
+def _run_translated(tr: TranslationResult, nq: int, algorithm: str) -> StateRelation:
+    """The engine's maximal simulation, restricted to the automaton states."""
+    if algorithm not in _ENGINES:
         raise TreeError(f"unknown algorithm {algorithm!r}")
-    return pair.induced_relation()
+    pair, _ = _ENGINES[algorithm](tr.lts, tr.initial)
+    b = pair.block_of[:nq]
+    return StateRelation(pair.rel[np.ix_(b, b)])
 
 
 def downward_simulation(ta: TreeAutomaton, algorithm: str = "olrt") -> StateRelation:
     """Maximal downward simulation on Q, via the LTS reduction."""
-    tr = downward_translation(ta)
-    full = _run_translated(tr, algorithm)
-    nq = ta.state_count
-    return StateRelation(full.matrix[:nq, :nq])
+    return _run_translated(downward_translation(ta), ta.state_count, algorithm)
 
 
 def upward_simulation(ta: TreeAutomaton, d: StateRelation, algorithm: str = "olrt") -> StateRelation:
     """Maximal upward simulation induced by ``d``, via the LTS reduction."""
-    tr = upward_translation(ta, d)
-    full = _run_translated(tr, algorithm)
-    nq = ta.state_count
-    return StateRelation(full.matrix[:nq, :nq])
+    return _run_translated(upward_translation(ta, d), ta.state_count, algorithm)
 
 
 def ta_quotient(ta: TreeAutomaton, partition) -> TreeAutomaton:

@@ -12,6 +12,7 @@ from simred import (
     serialize_lts,
     serialize_relation,
 )
+from simred import cli
 from simred.cli import main
 from simred.generate import random_lts, random_preorder
 
@@ -122,16 +123,18 @@ def test_sim_lts_non_utf8_input_exit_2(tmp_path, capsys):
 
 def test_ta_down_t1(tmp_path, capsys, t1_text):
     ta = write(tmp_path / "t1.timbuk", t1_text)
-    code, out, _ = run(["ta-down", ta], capsys)
-    assert code == 0
-    assert out == "q0 q0\nq1 q1\n"
+    for algo in ("olrt", "lrt"):
+        code, out, _ = run(["ta-down", ta, "--algo", algo], capsys)
+        assert code == 0
+        assert out == "q0 q0\nq1 q1\n"
 
 
 def test_ta_up_t1(tmp_path, capsys, t1_text):
     ta = write(tmp_path / "t1.timbuk", t1_text)
-    code, out, _ = run(["ta-up", ta], capsys)
-    assert code == 0
-    assert out == "q0 q0\nq0 q1\nq1 q1\n"
+    for algo in ("olrt", "lrt"):
+        code, out, _ = run(["ta-up", ta, "--algo", algo], capsys)
+        assert code == 0
+        assert out == "q0 q0\nq0 q1\nq1 q1\n"
 
 
 def test_ta_up_rejects_bad_downward_file(tmp_path, capsys, t1_text):
@@ -380,3 +383,29 @@ def test_ta_up_init_three_tokens_exit_2(tmp_path, capsys, t1_text):
     code, _, err = run(["ta-up", ta, "--init", init], capsys)
     assert code == 2
     assert err.startswith(f"simred: {init}: line 2: expected 2 tokens")
+
+
+def test_zero_state_automaton_matches_oracle(tmp_path, capsys):
+    ta = write(tmp_path / "empty.timbuk",
+               "Ops a:0\nAutomaton A\nStates\nFinal States\nTransitions\n")
+    for command in ("ta-down", "ta-up", "minimize"):
+        expected = run([command, ta, "--algo", "oracle"], capsys)
+        assert expected[0] == 0
+        for algo in ("olrt", "lrt"):
+            assert run([command, ta, "--algo", algo], capsys) == expected, (command, algo)
+
+
+def test_minimize_reads_input_once(tmp_path, capsys, monkeypatch, t1_text):
+    calls = []
+    original = cli._read
+
+    def counting(path):
+        calls.append(path)
+        return original(path)
+
+    monkeypatch.setattr(cli, "_read", counting)
+    for path in (write(tmp_path / "l1.lts", L1_TEXT), write(tmp_path / "t1.timbuk", t1_text)):
+        calls.clear()
+        code, _, _ = run(["minimize", path], capsys)
+        assert code == 0
+        assert calls == [path]

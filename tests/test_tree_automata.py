@@ -11,7 +11,6 @@ from simred import (
     downward_simulation,
     downward_translation,
     lhs_and_envs,
-    refine_by_out,
     serialize_timbuk,
     ta_quotient,
     upward_naive,
@@ -19,6 +18,7 @@ from simred import (
     upward_translation,
 )
 from simred.generate import random_ta
+from ta_reference import initial_pair_matches
 
 
 def lts_names(tr):
@@ -91,9 +91,7 @@ def test_downward_translation_structure_random():
 def test_specialized_init_equals_generic_downward(t1):
     tas = [t1] + [random_ta(5, 3, 2, 9, seed=s) for s in range(30)]
     for ta in tas:
-        tr = downward_translation(ta)
-        generic = refine_by_out(coarsest_pair(tr.init_relation), tr.lts)
-        assert tr.initial == generic
+        assert initial_pair_matches(ta, downward_translation(ta))
 
 
 def test_upward_translation_t1(t1):
@@ -107,7 +105,7 @@ def test_upward_translation_t1(t1):
         (env_name, "g", "q1"),
     }
     # initial preorder: final-state implication plus reflexive environment pair
-    assert sorted(tr.init_relation.pairs()) == [(0, 0), (0, 1), (1, 1), (2, 2)]
+    assert sorted(tr.initial.induced_relation().pairs()) == [(0, 0), (0, 1), (1, 1), (2, 2)]
 
 
 def test_upward_translation_requires_reflexive_d(t1):
@@ -132,9 +130,7 @@ def test_specialized_init_equals_generic_upward(t1):
     tas = [t1] + [random_ta(5, 3, 2, 9, seed=s) for s in range(30)]
     for ta in tas:
         d = downward_naive(ta)
-        tr = upward_translation(ta, d)
-        generic = refine_by_out(coarsest_pair(tr.init_relation), tr.lts)
-        assert tr.initial == generic
+        assert initial_pair_matches(ta, upward_translation(ta, d), d)
 
 
 def test_downward_simulation_t1(t1):
@@ -147,10 +143,11 @@ def test_downward_simulation_no_rules_full():
     assert downward_simulation(ta) == StateRelation.full(2)
 
 
-def test_downward_simulation_matches_oracle_random():
+@pytest.mark.parametrize("algorithm", ["olrt", "lrt"])
+def test_downward_simulation_matches_oracle_random(algorithm):
     for seed in range(60):
         ta = random_ta(1 + seed % 6, 1 + seed % 3, 2, seed % 11, seed=seed)
-        assert downward_simulation(ta) == downward_naive(ta)
+        assert downward_simulation(ta, algorithm=algorithm) == downward_naive(ta)
 
 
 def test_upward_simulation_t1(t1):
@@ -166,11 +163,12 @@ def test_upward_simulation_vacuous_case():
     assert u == StateRelation.full(2)
 
 
-def test_upward_simulation_matches_oracle_random():
+@pytest.mark.parametrize("algorithm", ["olrt", "lrt"])
+def test_upward_simulation_matches_oracle_random(algorithm):
     for seed in range(60):
         ta = random_ta(1 + seed % 6, 1 + seed % 3, 2, seed % 11, seed=seed)
-        d = downward_simulation(ta)
-        assert upward_simulation(ta, d) == upward_naive(ta, d)
+        d = downward_simulation(ta, algorithm=algorithm)
+        assert upward_simulation(ta, d, algorithm=algorithm) == upward_naive(ta, d)
 
 
 def test_lhs_extension_correspondence():
