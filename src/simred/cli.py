@@ -13,11 +13,14 @@ import csv
 import io
 import sys
 
-from . import engine as _engine
+import numpy as np
+
 from . import generate as _generate
 from . import oracle as _oracle
 from . import tree as _tree
+from .engine import ENGINES
 from .lts import (
+    IDENTIFIER_RE,
     Lts,
     LtsError,
     LtsParseError,
@@ -102,19 +105,17 @@ def _write_metrics(path: str | None, entries: dict) -> None:
 
 
 def _blocks_text(pair: PartitionRelationPair, names) -> str:
-    order = sorted(
-        range(pair.block_count), key=lambda i: min(names[v] for v in pair.blocks[i])
-    )
-    index = {bid: pos for pos, bid in enumerate(order)}
+    """One line per block, blocks and members ordered by name; each line
+    lists the positions of the blocks above it."""
+    members = [sorted(names[v] for v in block) for block in pair.blocks]
+    order = sorted(range(pair.block_count), key=lambda b: members[b][0])
+    position = np.empty(pair.block_count, dtype=np.int64)
+    position[order] = np.arange(pair.block_count)
     lines = []
     for bid in order:
-        members = ",".join(sorted(names[v] for v in pair.blocks[bid]))
-        above = sorted(index[c] for c in range(pair.block_count) if pair.rel[bid, c])
-        lines.append("{%s} -> {%s}" % (members, ",".join(str(c) for c in above)))
+        above = np.sort(position[np.flatnonzero(pair.rel[bid])]).tolist()
+        lines.append("{%s} -> {%s}" % (",".join(members[bid]), ",".join(map(str, above))))
     return "\n".join(lines) + "\n"
-
-
-_ENGINES = {"olrt": _engine.olrt, "lrt": _engine.lrt}
 
 
 def _run_lts_algorithm(lts: Lts, args):
@@ -130,7 +131,7 @@ def _run_lts_algorithm(lts: Lts, args):
     if args.algo == "oracle":
         pair = coarsest_pair(result.relation)
         return pair, {"algorithm": "oracle", "rounds": result.rounds}
-    pair, metrics = _ENGINES[args.algo](lts, initial)
+    pair, metrics = ENGINES[args.algo](lts, initial)
     entries = {"algorithm": args.algo, **metrics.as_dict()}
     entries["final_blocks"] = pair.block_count
     return pair, entries
@@ -216,10 +217,15 @@ def _cmd_ta_up(args) -> int:
 
 
 def _sniff_is_ta(text: str) -> bool:
+    """Timbuk input starts with ``Ops``.  A first line of three identifiers
+    is an LTS transition even so: operator declarations hold a ``:``, which
+    identifiers cannot."""
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            return line.split()[0] == "Ops"
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            return tokens[0] == "Ops" and not (
+                len(tokens) == 3 and all(IDENTIFIER_RE.match(t) for t in tokens)
+            )
     return False
 
 
@@ -285,7 +291,7 @@ def _cmd_bench(args) -> int:
         raise _CliError(EXIT_PARAMS, "invalid benchmark parameters")
     algos = [tok for tok in args.algos.split(",") if tok]
     for algo in algos:
-        if algo not in _ENGINES:
+        if algo not in ENGINES:
             raise _CliError(EXIT_PARAMS, f"unknown benchmark algorithm {algo!r}")
 
     buf = io.StringIO()
@@ -318,7 +324,7 @@ def _cmd_bench(args) -> int:
         instance = f"n{args.states}-m{m}-seed{args.seed}"
         initial = coarsest_pair(StateRelation.full(lts.state_count))
         for algo in algos:
-            pair, metrics = _ENGINES[algo](lts, initial)
+            pair, metrics = ENGINES[algo](lts, initial)
             writer.writerow(
                 [
                     instance,

@@ -49,6 +49,7 @@ __all__ = [
     "run_engine",
     "lrt",
     "olrt",
+    "ENGINES",
 ]
 
 
@@ -198,7 +199,7 @@ class EngineState:
                 pair = refine_by_out(initial, lts)
             else:
                 validate_coarsest(initial)
-                pair = initial.canonical()
+                pair = initial
         except PartitionError as exc:
             raise EngineError(f"initial pair rejected: {exc}") from exc
 
@@ -216,9 +217,7 @@ class EngineState:
         k = pair.block_count
         cap = max(4, k)
         self._nb = k
-        self._members: list[np.ndarray] = [
-            np.fromiter(b, dtype=np.int64) for b in pair.blocks
-        ]
+        self._members: list[np.ndarray] = list(pair.members)
         self._block_of = np.array(pair.block_of)
         self._rel = np.zeros((cap, cap), dtype=bool)
         self._rel[:k, :k] = pair.rel
@@ -277,11 +276,7 @@ class EngineState:
         return _gather_rows(self.lts.pred_indptr[a], self.lts.pred_data[a], states)
 
     def _above_mask(self, bid: int) -> np.ndarray:
-        above = np.zeros(self.lts.state_count, dtype=bool)
-        row = self._rel[bid, : self._nb]
-        for cid in np.flatnonzero(row):
-            above[self._members[cid]] = True
-        return above
+        return self._rel[bid, : self._nb][self._block_of]
 
     def _initial_counts(self, a: int, above: np.ndarray) -> np.ndarray:
         vals = above[self.lts.succ_data[a]]
@@ -516,11 +511,9 @@ class EngineState:
     # -- results and audits ---------------------------------------------------
 
     def current_pair(self) -> PartitionRelationPair:
-        """Canonical snapshot of the live partition-relation pair."""
-        order = sorted(range(self._nb), key=lambda i: int(self._members[i][0]))
-        perm = np.array(order, dtype=np.int64)
-        blocks = [self._members[i] for i in order]
-        return PartitionRelationPair(blocks, self._rel[np.ix_(perm, perm)])
+        """Snapshot of the live partition-relation pair."""
+        nb = self._nb
+        return PartitionRelationPair.from_labels(self._block_of, self._rel[:nb, :nb])
 
     def audit_state(self) -> None:
         """Recompute every live counter and Remove set from definitions.
@@ -596,3 +589,7 @@ def lrt(lts: Lts, initial: PartitionRelationPair) -> tuple[PartitionRelationPair
 def olrt(lts: Lts, initial: PartitionRelationPair) -> tuple[PartitionRelationPair, SimMetrics]:
     """Optimized refinement; returns the final pair and its run metrics."""
     return run_engine(lts, initial)
+
+
+# the two named configurations, by algorithm name
+ENGINES = {"olrt": olrt, "lrt": lrt}

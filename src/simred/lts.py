@@ -251,10 +251,8 @@ def quotient(lts: Lts, pair) -> Lts:
     """
     if pair.state_count != lts.state_count:
         raise LtsError("partition does not cover this LTS's states")
-    canon = pair.canonical()
-    block_names = [min(lts.state_names[v] for v in block) for block in canon.blocks]
-    block_of = canon.block_of
-    triples = np.column_stack([block_of[lts.src], lts.sym, block_of[lts.dst]])
+    block_names = [min(lts.state_names[v] for v in block) for block in pair.blocks]
+    triples = np.column_stack([pair.block_of[lts.src], lts.sym, pair.block_of[lts.dst]])
     return Lts.from_ids(block_names, lts.symbol_names, triples)
 
 
@@ -262,13 +260,13 @@ def quotient(lts: Lts, pair) -> Lts:
 
 
 def parse_lts(text: str) -> Lts:
-    """Parse the line-based LTS format: ``SRC LABEL DST`` per line, ``#`` comments."""
+    """Parse the line-based LTS format: ``SRC LABEL DST`` per line; ``#``
+    starts a comment that runs to the end of the line."""
     transitions = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         if len(tokens) != 3:
             raise LtsParseError(lineno, f"expected 3 tokens, got {len(tokens)}")
         for tok in tokens:
@@ -287,7 +285,8 @@ def serialize_lts(lts: Lts) -> str:
 
 
 def parse_relation(text: str, states) -> StateRelation:
-    """Parse a relation file: one ``U V`` name pair per line, ``#`` comments.
+    """Parse a relation file: one ``U V`` name pair per line; ``#`` starts a
+    comment that runs to the end of the line.
 
     ``states`` is anything with ``state_count`` and ``state_id`` (an
     :class:`Lts` or a tree automaton).  A malformed line raises
@@ -296,10 +295,9 @@ def parse_relation(text: str, states) -> StateRelation:
     """
     rel = StateRelation.empty(states.state_count)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         if len(tokens) != 2:
             raise LtsParseError(lineno, f"expected 2 tokens, got {len(tokens)}")
         try:

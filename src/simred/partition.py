@@ -2,7 +2,10 @@
 
 A partition-relation pair is a partition of the state set into blocks plus a
 relation on block ids; it induces the state relation that is the union of
-B x C over related block pairs (B,C).
+B x C over related block pairs (B,C).  Pairs are canonical on construction:
+block ids follow the blocks' least members, so equal pairs have identical
+arrays.  This module is the only place that orders or groups blocks; every
+other layer hands it one label per state.
 """
 
 from __future__ import annotations
@@ -28,43 +31,73 @@ class PartitionError(ValueError):
 class PartitionRelationPair:
     """Blocks of dense state ids plus a boolean relation on block ids.
 
-    Instances are immutable after construction; block members are stored as
-    ascending tuples and the relation matrix is frozen.
+    ``block_of[v]`` is the block of state v, ``rel[b, c]`` relates blocks b
+    and c, and ``members[b]`` (an array) and ``blocks[b]`` (a tuple) list
+    block b's states ascending.  The pair is canonical: block b is the block
+    whose least member is the b-th smallest.  All arrays are read-only.
+    Build one from explicit blocks with the constructor or from a label per
+    state with :meth:`from_labels`.
     """
 
-    __slots__ = ("blocks", "rel", "block_of")
+    __slots__ = ("block_of", "rel", "members", "blocks")
 
     def __init__(self, blocks, rel):
-        blocks = tuple(tuple(sorted(int(v) for v in block)) for block in blocks)
-        if any(not block for block in blocks):
+        members = [np.sort(np.fromiter(block, dtype=np.int64)) for block in blocks]
+        if any(m.size == 0 for m in members):
             raise PartitionError("empty block")
-        seen: dict[int, int] = {}
-        for i, block in enumerate(blocks):
-            for v in block:
-                if v in seen:
-                    raise PartitionError(f"state {v} occurs in blocks {seen[v]} and {i}")
-                seen[v] = i
-        n = len(seen)
-        if seen and (min(seen) != 0 or max(seen) != n - 1):
+        label = np.repeat(np.arange(len(members)), [m.size for m in members])
+        states = np.concatenate(members) if members else label
+        ids, first = np.unique(states, return_index=True)
+        if len(ids) < len(states):  # report the first repeat in block order
+            p = np.setdiff1d(np.arange(len(states)), first)[0]
+            q = first[np.searchsorted(ids, states[p])]
+            raise PartitionError(f"state {states[p]} occurs in blocks {label[q]} and {label[p]}")
+        if len(ids) and (ids[0] != 0 or ids[-1] != len(ids) - 1):
             raise PartitionError("blocks must cover a dense id range starting at 0")
         relm = np.array(rel, dtype=bool)
-        if relm.shape != (len(blocks), len(blocks)):
+        if relm.shape != (len(members), len(members)):
             raise PartitionError(
-                f"relation shape {relm.shape} does not match {len(blocks)} blocks"
+                f"relation shape {relm.shape} does not match {len(members)} blocks"
             )
-        relm.setflags(write=False)
-        self.blocks = blocks
-        self.rel = relm
-        block_of = np.empty(n, dtype=np.int64)
-        for i, block in enumerate(blocks):
-            for v in block:
-                block_of[v] = i
-        block_of.setflags(write=False)
-        self.block_of = block_of
+        block_of = np.empty(len(ids), dtype=np.int64)
+        block_of[states] = label
+        self._assign(block_of, relm)
+
+    @classmethod
+    def from_labels(cls, labels, rel) -> "PartitionRelationPair":
+        """The pair whose blocks are the states sharing a label.
+
+        ``labels`` gives each state a label in 0..k-1, every label used, and
+        ``rel`` is the k x k relation between labels.
+        """
+        pair = object.__new__(cls)
+        pair._assign(np.asarray(labels, dtype=np.int64), np.asarray(rel, dtype=bool))
+        return pair
+
+    def _assign(self, labels: np.ndarray, rel: np.ndarray) -> None:
+        # renumber the labels by least member; a stable sort by label lists
+        # every block ascending, its least member first
+        k = len(rel)
+        sizes = np.bincount(labels, minlength=k)
+        if rel.shape != (k, k) or len(sizes) != k or not sizes.all():
+            raise PartitionError(f"labels must use exactly the {k} ids of the relation")
+        by_label = np.argsort(labels, kind="stable")
+        by_label.setflags(write=False)
+        starts = np.cumsum(sizes) - sizes
+        order = np.argsort(by_label[starts])
+        renumber = np.empty(k, dtype=np.int64)
+        renumber[order] = np.arange(k)
+        self.block_of = renumber[labels]
+        self.block_of.setflags(write=False)
+        self.rel = rel[np.ix_(order, order)]
+        self.rel.setflags(write=False)
+        parts = np.split(by_label, starts[1:])
+        self.members = tuple(parts[b] for b in order.tolist())
+        self.blocks = tuple(tuple(m.tolist()) for m in self.members)
 
     @property
     def block_count(self) -> int:
-        return len(self.blocks)
+        return self.rel.shape[0]
 
     @property
     def state_count(self) -> int:
@@ -76,28 +109,15 @@ class PartitionRelationPair:
             yield int(b), int(c)
 
     def induced_relation(self) -> StateRelation:
-        n = self.state_count
-        out = np.zeros((n, n), dtype=bool)
-        members = [np.fromiter(b, dtype=np.int64) for b in self.blocks]
-        for b, c in self.rel_pairs():
-            out[np.ix_(members[b], members[c])] = True
-        return StateRelation(out)
-
-    def canonical(self) -> "PartitionRelationPair":
-        """Equivalent pair with blocks ordered by least member id."""
-        order = sorted(range(len(self.blocks)), key=lambda i: self.blocks[i][0])
-        if order == list(range(len(self.blocks))):
-            return self
-        perm = np.array(order)
-        return PartitionRelationPair(
-            [self.blocks[i] for i in order], self.rel[np.ix_(perm, perm)]
-        )
+        return StateRelation(self.rel[np.ix_(self.block_of, self.block_of)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PartitionRelationPair):
             return NotImplemented
-        a, b = self.canonical(), other.canonical()
-        return a.blocks == b.blocks and bool(np.array_equal(a.rel, b.rel))
+        return bool(
+            np.array_equal(self.block_of, other.block_of)
+            and np.array_equal(self.rel, other.rel)
+        )
 
     def __hash__(self):
         raise TypeError("PartitionRelationPair is not hashable")
@@ -109,21 +129,13 @@ class PartitionRelationPair:
 def coarsest_pair(rho: StateRelation) -> PartitionRelationPair:
     """Coarsest partition-relation pair inducing the preorder ``rho``.
 
-    States share a block iff they have identical up-sets and down-sets; for a
-    preorder these are the equivalence classes of rho intersected with its
-    inverse.  Grouping hashes the (row, column) signature of each state.
+    States share a block iff they are mutually related, which in a preorder
+    holds iff their rows are equal (and then so are their columns).
     """
     rho.require_preorder("initial relation")
     m = rho.matrix
-    mt = np.ascontiguousarray(m.T)
-    groups: dict[bytes, list[int]] = {}
-    for v in range(rho.size):
-        key = m[v].tobytes() + mt[v].tobytes()
-        groups.setdefault(key, []).append(v)
-    blocks = sorted(groups.values(), key=lambda g: g[0])
-    reps = np.array([g[0] for g in blocks], dtype=np.int64)
-    rel = m[np.ix_(reps, reps)]
-    return PartitionRelationPair(blocks, rel)
+    reps, block_of = _row_classes(np.packbits(m, axis=1))
+    return PartitionRelationPair.from_labels(block_of, m[np.ix_(reps, reps)])
 
 
 def validate_coarsest(pair: PartitionRelationPair) -> None:
@@ -165,8 +177,8 @@ def refine_by_out(initial: PartitionRelationPair, lts: Lts) -> PartitionRelation
 
     Each refined block is one (initial block, ``out_mask`` row) group; two
     groups are related iff their initial blocks are and the first group's
-    output symbols are a subset of the second's.  Groups with identical
-    relation rows and columns then merge back into one block.
+    output symbols are a subset of the second's.  That relation is a
+    preorder, and its equivalent groups then merge back into one block.
     """
     validate_coarsest(initial)
     if initial.state_count != lts.state_count:
@@ -182,10 +194,5 @@ def refine_by_out(initial: PartitionRelationPair, lts: Lts) -> PartitionRelation
     o = lts.out_mask[reps].astype(np.float32)
     parents = block_of[reps]
     rel = initial.rel[np.ix_(parents, parents)] & ((o @ (1.0 - o).T) < 0.5)
-
-    # Re-coarsen: merge groups whose relation rows and columns coincide.
-    keep, merged_of = _row_classes(np.packbits(np.concatenate([rel, rel.T], axis=1), axis=1))
-    label = merged_of[group_of]
-    order = np.argsort(label, kind="stable")
-    blocks = np.split(order, np.cumsum(np.bincount(label))[:-1])
-    return PartitionRelationPair(blocks, rel[np.ix_(keep, keep)]).canonical()
+    keep, merged_of = _row_classes(np.packbits(rel, axis=1))
+    return PartitionRelationPair.from_labels(merged_of[group_of], rel[np.ix_(keep, keep)])

@@ -8,9 +8,9 @@ replaced by a hole).  Position labels form their own id range after the
 ranked alphabet, so they can never collide with user symbols.
 
 Each translation also returns the coarsest partition-relation pair of its
-initial preorder, built block-wise without an n x n matrix; the engines take
-it like any other initial pair, and OLRT intersects it with the output
-preorder itself.
+initial preorder, built from one block label per LTS state without an n x n
+matrix; the engines take it like any other initial pair, and OLRT intersects
+it with the output preorder itself.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import lrt, olrt
+from .engine import ENGINES
 from .lts import IDENTIFIER_RE, Lts
-from .partition import PartitionRelationPair, _row_classes
+from .partition import PartitionError, PartitionRelationPair, _row_classes
 from .relation import StateRelation
 
 __all__ = [
@@ -374,8 +374,8 @@ def downward_translation(ta: TreeAutomaton) -> TranslationResult:
             triples.add((lnode, m + i, qi))
     lts = Lts.from_ids(state_names, symbol_names, list(triples))
 
-    blocks = [range(n)] if n else []
-    initial = PartitionRelationPair(blocks, np.ones((len(blocks), len(blocks)), dtype=bool))
+    k = min(n, 1)
+    initial = PartitionRelationPair.from_labels(np.zeros(n, dtype=np.int64), np.ones((k, k)))
     back_map = tuple(
         [("state", q) for q in range(nq)] + [("lhs", l) for l in lhs_list]
     )
@@ -420,8 +420,7 @@ def upward_translation(ta: TreeAutomaton, d: StateRelation) -> TranslationResult
     # automaton states: one block per final flag that occurs, non-final below final
     is_final = np.zeros(nq, dtype=bool)
     is_final[sorted(ta.finals)] = True
-    flags = np.unique(is_final)
-    blocks = [np.flatnonzero(is_final == f) for f in flags]
+    flags, flag_of = np.unique(is_final, return_inverse=True)
     state_rel = ~flags[:, None] | flags[None, :]
 
     # environments: one block per (symbol, hole, d-classes of the others);
@@ -434,9 +433,6 @@ def upward_translation(ta: TreeAutomaton, d: StateRelation) -> TranslationResult
         keys[i, :2] = e.symbol, e.hole
         keys[i, 2 : 1 + e.arity] = dclass[list(e.others)]
     ukeys, env_block = np.unique(keys, axis=0, return_inverse=True)
-    env_block = env_block.ravel()
-    order = np.argsort(env_block, kind="stable")
-    blocks += np.split(nq + order, np.cumsum(np.bincount(env_block))[:-1]) if envs else []
     # blocks of one (symbol, hole) are contiguous in the sorted keys and
     # relate iff every position's d-classes do
     env_rel = np.zeros((len(ukeys), len(ukeys)), dtype=bool)
@@ -450,25 +446,24 @@ def upward_translation(ta: TreeAutomaton, d: StateRelation) -> TranslationResult
         env_rel[s : s + size, s : s + size] = sub
 
     kq = len(flags)
-    rel = np.zeros((len(blocks), len(blocks)), dtype=bool)
+    k = kq + len(ukeys)
+    rel = np.zeros((k, k), dtype=bool)
     rel[:kq, :kq] = state_rel
     rel[kq:, kq:] = env_rel
+    labels = np.concatenate([flag_of.ravel(), kq + env_block.ravel()])
     back_map = tuple(
         [("state", q) for q in range(nq)] + [("env", e) for e in envs]
     )
-    return TranslationResult(lts, PartitionRelationPair(blocks, rel), back_map)
+    return TranslationResult(lts, PartitionRelationPair.from_labels(labels, rel), back_map)
 
 
 # -- end-to-end pipelines -----------------------------------------------------
 
-_ENGINES = {"olrt": olrt, "lrt": lrt}
-
-
 def _run_translated(tr: TranslationResult, nq: int, algorithm: str) -> StateRelation:
     """The engine's maximal simulation, restricted to the automaton states."""
-    if algorithm not in _ENGINES:
+    if algorithm not in ENGINES:
         raise TreeError(f"unknown algorithm {algorithm!r}")
-    pair, _ = _ENGINES[algorithm](tr.lts, tr.initial)
+    pair, _ = ENGINES[algorithm](tr.lts, tr.initial)
     b = pair.block_of[:nq]
     return StateRelation(pair.rel[np.ix_(b, b)])
 
@@ -486,25 +481,14 @@ def upward_simulation(ta: TreeAutomaton, d: StateRelation, algorithm: str = "olr
 def ta_quotient(ta: TreeAutomaton, partition) -> TreeAutomaton:
     """Collapse each block of states to one; blocks are named after their
     lexicographically least member."""
-    blocks = [tuple(sorted(int(q) for q in block)) for block in partition]
-    seen: set[int] = set()
-    for block in blocks:
-        if not block:
-            raise TreeError("empty block")
-        for q in block:
-            if q in seen:
-                raise TreeError(f"state {q} in two blocks")
-            seen.add(q)
-    if seen != set(range(ta.state_count)):
+    try:
+        pair = PartitionRelationPair(partition, np.eye(len(partition), dtype=bool))
+    except PartitionError as exc:
+        raise TreeError(str(exc)) from None
+    if pair.state_count != ta.state_count:
         raise TreeError("partition does not cover the automaton's states")
-
-    block_of = {}
-    for i, block in enumerate(blocks):
-        for q in block:
-            block_of[q] = i
-    names = [min(ta.state_names[q] for q in block) for block in blocks]
-    rules = set()
-    for lhs, sym, tgt in ta.rules:
-        rules.add((tuple(block_of[q] for q in lhs), sym, block_of[tgt]))
+    block_of = pair.block_of.tolist()
+    names = [min(ta.state_names[q] for q in block) for block in pair.blocks]
+    rules = {(tuple(block_of[q] for q in lhs), s, block_of[t]) for lhs, s, t in ta.rules}
     finals = {block_of[q] for q in ta.finals}
     return TreeAutomaton(names, ta.symbol_names, ta.ranks, sorted(rules), finals)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,30 @@ def test_sim_lts_blocks_format(tmp_path, capsys):
     code, out, _ = run(["sim-lts", lts, "--format", "blocks"], capsys)
     assert code == 0
     assert out == "{p,r} -> {0}\n{q} -> {1}\n"
+
+
+def test_blocks_format_expands_to_pairs_format(tmp_path, capsys):
+    # with 12+ states named s0.. the name order (s10 before s2) is not the id order
+    for seed in range(8):
+        lts = random_lts(12 + seed, 2, edge_prob=0.12, seed=seed)
+        path = write(tmp_path / f"{seed}.lts", serialize_lts(lts))
+        code, pairs, _ = run(["sim-lts", path], capsys)
+        assert code == 0
+        code, blocks, _ = run(["sim-lts", path, "--format", "blocks"], capsys)
+        assert code == 0
+        line_re = re.compile(r"\{(.*)\} -> \{(.*)\}")
+        rows = [line_re.fullmatch(line).groups() for line in blocks.splitlines()]
+        members = [m.split(",") for m, _ in rows]
+        assert all(m == sorted(m) for m in members)
+        assert [m[0] for m in members] == sorted(m[0] for m in members)
+        expanded = sorted(
+            f"{u} {v}\n"
+            for m, (_, above) in zip(members, rows)
+            for c in above.split(",")
+            for u in m
+            for v in members[int(c)]
+        )
+        assert "".join(expanded) == pairs
 
 
 def test_sim_lts_parse_error_exit_2(tmp_path, capsys):
@@ -167,6 +192,15 @@ def test_minimize_lts(tmp_path, capsys):
     assert code == 0
     assert out == "p a q\nq b q\n"  # p and r merge
     assert err == "3 2\n"
+
+
+def test_minimize_lts_whose_first_state_is_ops(tmp_path, capsys):
+    # a first line of three identifiers is a transition, not an Ops declaration
+    lts = write(tmp_path / "ops.lts", "Ops a b\nb a Ops\n")
+    code, out, err = run(["minimize", lts], capsys)
+    assert code == 0
+    assert out == "Ops a Ops\n"  # Ops and b simulate each other
+    assert err == "2 1\n"
 
 
 def test_minimize_idempotent(tmp_path, capsys):

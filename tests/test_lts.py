@@ -179,6 +179,12 @@ def test_parse_comments_and_blank_lines():
     assert lts.state_count == 2
 
 
+def test_parse_inline_comment():
+    # identifiers cannot hold '#', so a comment may follow a transition
+    lts = parse_lts("p a q # note\nq b p#x\n")
+    assert lts == parse_lts("p a q\nq b p\n")
+
+
 def test_parse_wrong_token_count():
     with pytest.raises(LtsParseError, match="expected 3 tokens") as err:
         parse_lts("p a q\np a\n")
@@ -200,6 +206,11 @@ def test_relation_file_round_trip(l1):
     text = serialize_relation(rel, l1)
     assert text == "p q\nr r\n"
     assert parse_relation(text, l1) == rel
+
+
+def test_relation_file_inline_comment(l1):
+    rel = parse_relation("p q # note\nr r#x\n", l1)
+    assert rel == StateRelation.from_pairs(3, [(0, 1), (2, 2)])
 
 
 def test_relation_file_errors(l1):

@@ -1,4 +1,5 @@
-"""Property tests of the array-backed Lts and the out-preorder refinement."""
+"""Property tests of the array-backed Lts, the canonical partition-relation
+pair and the out-preorder refinement."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from simred import (  # noqa: E402
     Lts,
+    PartitionRelationPair,
     StateRelation,
     coarsest_pair,
     out_preorder,
@@ -36,6 +38,34 @@ def lts_and_preorder(draw):
     bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
     base = StateRelation(np.array(bits, dtype=bool).reshape(n, n))
     return Lts.from_ids(states, symbols, triples), base.reflexive_transitive_closure()
+
+
+@st.composite
+def preorders(draw):
+    n = draw(st.integers(0, 8))
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    return StateRelation(np.array(bits, dtype=bool).reshape(n, n)).reflexive_transitive_closure()
+
+
+@small
+@given(preorders(), st.randoms(use_true_random=False))
+def test_coarsest_pair_is_canonical(rho, rnd):
+    pair = coarsest_pair(rho)
+    assert pair.induced_relation() == rho
+    heads = [block[0] for block in pair.blocks]
+    assert heads == sorted(heads)
+    for i, block in enumerate(pair.blocks):
+        assert list(block) == sorted(block)
+        assert (pair.block_of[list(block)] == i).all()
+    # the same blocks in any order, members in any order, give identical arrays
+    order = rnd.sample(range(pair.block_count), pair.block_count)
+    shuffled = PartitionRelationPair(
+        [rnd.sample(pair.blocks[i], len(pair.blocks[i])) for i in order],
+        pair.rel[np.ix_(order, order)],
+    )
+    assert shuffled.blocks == pair.blocks
+    assert np.array_equal(shuffled.block_of, pair.block_of)
+    assert np.array_equal(shuffled.rel, pair.rel)
 
 
 @small
