@@ -30,7 +30,7 @@ from .lts import (
     serialize_lts,
     serialize_relation,
 )
-from .partition import PartitionRelationPair, coarsest_pair
+from .partition import PartitionRelationPair, closure_pair, coarsest_pair
 from .relation import RelationError, StateRelation
 from .tree import TimbukParseError, TreeError
 
@@ -89,13 +89,17 @@ def _load_relation(path: str, states) -> StateRelation:
         raise _CliError(EXIT_SEMANTIC, f"{path}: {exc}") from exc
 
 
-def _load_initial(lts: Lts, args) -> StateRelation:
-    """The --init relation, not yet checked to be a preorder: coarsest_pair
-    or the oracle does that once, in _run_lts_algorithm."""
+def _initial_pair(lts: Lts, args) -> PartitionRelationPair:
+    """The initial pair: one block without --init, else the coarsest pair of
+    the --init relation, which coarsest_pair checks to be a preorder.  The
+    closure of --init --closure is one by construction and goes unchecked."""
     if args.init is None:
-        return StateRelation.full(lts.state_count)
+        return PartitionRelationPair.full(lts.state_count)
     rel = _load_relation(args.init, lts)
-    return rel.reflexive_transitive_closure() if args.closure else rel
+    try:
+        return closure_pair(rel) if args.closure else coarsest_pair(rel)
+    except RelationError as exc:
+        raise _CliError(EXIT_SEMANTIC, f"{args.init}: {exc}") from exc
 
 
 def _write_metrics(path: str | None, entries: dict) -> None:
@@ -120,15 +124,9 @@ def _blocks_text(pair: PartitionRelationPair, names) -> str:
 
 def _run_lts_algorithm(lts: Lts, args):
     """Returns (coarsest pair of the maximal simulation, metrics dict)."""
-    init = _load_initial(lts, args)
-    try:  # both check that the initial relation is a preorder
-        if args.algo == "oracle":
-            result = _oracle.max_simulation_naive(lts, init)
-        else:
-            initial = coarsest_pair(init)
-    except RelationError as exc:
-        raise _CliError(EXIT_SEMANTIC, f"{args.init}: {exc}") from exc
+    initial = _initial_pair(lts, args)
     if args.algo == "oracle":
+        result = _oracle.max_simulation_naive(lts, initial.induced_relation())
         pair = coarsest_pair(result.relation)
         return pair, {"algorithm": "oracle", "rounds": result.rounds}
     pair, metrics = ENGINES[args.algo](lts, initial)
@@ -322,7 +320,7 @@ def _cmd_bench(args) -> int:
         except ValueError as exc:
             raise _CliError(EXIT_PARAMS, str(exc)) from exc
         instance = f"n{args.states}-m{m}-seed{args.seed}"
-        initial = coarsest_pair(StateRelation.full(lts.state_count))
+        initial = PartitionRelationPair.full(lts.state_count)
         for algo in algos:
             pair, metrics = ENGINES[algo](lts, initial)
             writer.writerow(

@@ -293,7 +293,8 @@ class EngineState:
 
     def _new_block(self) -> int:
         if self._nb == self._rel.shape[0]:
-            cap = self._rel.shape[0] * 2
+            # blocks are non-empty, so there are never more than n of them
+            cap = min(self._rel.shape[0] * 2, self.lts.state_count)
             grown = np.zeros((cap, cap), dtype=bool)
             grown[: self._nb, : self._nb] = self._rel[: self._nb, : self._nb]
             self._rel = grown

@@ -374,8 +374,7 @@ def downward_translation(ta: TreeAutomaton) -> TranslationResult:
             triples.add((lnode, m + i, qi))
     lts = Lts.from_ids(state_names, symbol_names, list(triples))
 
-    k = min(n, 1)
-    initial = PartitionRelationPair.from_labels(np.zeros(n, dtype=np.int64), np.ones((k, k)))
+    initial = PartitionRelationPair.full(n)
     back_map = tuple(
         [("state", q) for q in range(nq)] + [("lhs", l) for l in lhs_list]
     )

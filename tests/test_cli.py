@@ -361,15 +361,16 @@ def test_preorder_checked_once_per_run(tmp_path, capsys, monkeypatch):
     lts = write(tmp_path / "l1.lts", L1_TEXT)
     preorder = write(tmp_path / "pre.rel", "p p\nq q\nr r\np r\n")
     generators = write(tmp_path / "gen.rel", "p r\n")
+    # a given preorder is checked once; a closure is one by construction
     for algo in ("olrt", "lrt"):
-        for argv in (
-            ["sim-lts", lts, "--init", preorder],
-            ["minimize", lts, "--init", generators, "--closure"],
+        for argv, checks in (
+            (["sim-lts", lts, "--init", preorder], 1),
+            (["minimize", lts, "--init", generators, "--closure"], 0),
         ):
             calls.clear()
             code, _, _ = run(argv + ["--algo", algo], capsys)
             assert code == 0
-            assert len(calls) == 1, argv
+            assert len(calls) == checks, argv
 
 
 def test_minimize_quotients_by_engine_pair(tmp_path, capsys):

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from simred import (
     EngineError,
     EngineState,
+    Lts,
     PartitionRelationPair,
     StateRelation,
     coarsest_pair,
@@ -268,6 +271,21 @@ def test_decrement_cache_holds_live_blocks_only():
             if state.restrict_remove:
                 fresh = state._adj.counter_slot[b][fresh]
             assert np.array_equal(idx, fresh)
+
+
+def test_block_capacity_stays_within_state_count():
+    # on a 21-state a-chain every state is its own class, so the blocks
+    # outgrow the initial capacity of 4 and doubling would reach 32
+    n = 21
+    lts = Lts.from_ids(
+        [f"s{i}" for i in range(n)], ["a"], [(i, 0, i + 1) for i in range(n - 1)]
+    )
+    state = EngineState(lts, full_init(n)).run()
+    assert state._rel.shape[0] <= max(4, n)
+    pair, metrics = olrt(lts, full_init(n))
+    assert pair.block_count == n
+    assert state.current_pair() == pair
+    assert state.metrics == replace(metrics, wall_time_ms=0.0)
 
 
 def test_lrt_counter_allocation_formula():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from simred import (
     validate_coarsest,
 )
 from simred.oracle import split
+from simred.partition import closure_pair
 from simred.generate import random_lts, random_preorder
 
 
@@ -40,6 +43,8 @@ def test_coarsest_full_relation():
     pair = coarsest_pair(StateRelation.full(3))
     assert pair.blocks == ((0, 1, 2),)
     assert pair.rel.tolist() == [[True]]
+    for n in range(4):
+        assert PartitionRelationPair.full(n) == coarsest_pair(StateRelation.full(n))
 
 
 def test_coarsest_identity():
@@ -76,6 +81,44 @@ def test_induced_one_block():
 def test_induced_identity_blocks():
     pair = PartitionRelationPair([[0], [1]], np.eye(2, dtype=bool))
     assert pair.induced_relation() == StateRelation.identity(2)
+
+
+def test_induced_relation_is_not_held_twice():
+    pair = PartitionRelationPair.from_labels(np.arange(2000), np.eye(2000, dtype=bool))
+    tracemalloc.start()
+    try:
+        rel = pair.induced_relation()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rel == StateRelation.identity(2000)
+    assert peak < 1.5 * rel.matrix.nbytes
+
+
+def test_closure_pair_of_a_long_chain():
+    # a recursive component search would overflow the interpreter stack here
+    n = 5000
+    chain = StateRelation.from_pairs(n, zip(range(n - 1), range(1, n)))
+    pair = closure_pair(chain)
+    assert pair.block_count == n
+    assert np.array_equal(pair.rel, np.triu(np.ones((n, n), dtype=bool)))
+
+
+def test_closure_pair_allocates_less_than_the_dense_closure():
+    # four cycles of 1 000 states, each cycle entering the next
+    n, length = 4000, 1000
+    succ = np.arange(1, n + 1) % length + np.arange(n) // length * length
+    rel = StateRelation.from_pairs(n, zip(range(n), succ.tolist()))
+    rel.matrix[np.arange(0, n - length, length), np.arange(length, n, length)] = True
+    tracemalloc.start()
+    try:
+        pair = closure_pair(rel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pair.block_of.tolist() == (np.arange(n) // length).tolist()
+    assert np.array_equal(pair.rel, np.triu(np.ones((4, 4), dtype=bool)))
+    assert peak < n * n
 
 
 def test_round_trip_on_random_preorders():

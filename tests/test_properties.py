@@ -1,11 +1,11 @@
 """Property tests of the array-backed Lts, the canonical partition-relation
-pair and the out-preorder refinement."""
+pair, the closure of generator pairs and the out-preorder refinement."""
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from simred import (  # noqa: E402
     Lts,
@@ -18,6 +18,7 @@ from simred import (  # noqa: E402
     refine_by_out,
     serialize_lts,
 )
+from simred.partition import closure_pair  # noqa: E402
 
 small = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
@@ -117,3 +118,38 @@ def test_refine_by_out_is_coarsest_pair_of_intersection(case):
     lts, init = case
     expected = coarsest_pair(StateRelation(init.matrix & out_preorder(lts).matrix))
     assert refine_by_out(coarsest_pair(init), lts) == expected
+
+
+def dense_closure(n, pairs):
+    """Reference closure: square the matrix until it stops growing."""
+    m = np.eye(n, dtype=bool)
+    for u, v in pairs:
+        m[u, v] = True
+    while True:
+        f = m.astype(np.int64)
+        grown = m | ((f @ f) > 0)
+        if np.array_equal(grown, m):
+            return m
+        m = grown
+
+
+@st.composite
+def generator_pairs(draw):
+    n = draw(st.integers(0, 9))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)) if n else st.nothing()
+    return n, draw(st.lists(pair, max_size=3 * n))
+
+
+@small
+@given(generator_pairs())
+@example((0, []))
+@example((3, []))
+@example((3, [(1, 1), (2, 2)]))  # self-loops only
+@example((4, [(0, 1), (0, 1), (1, 0), (2, 3), (2, 3)]))  # duplicates, a 2-cycle
+@example((6, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 4), (3, 4)]))  # cycles in a line
+def test_closure_pair_is_coarsest_pair_of_dense_closure(case):
+    n, pairs = case
+    rel = StateRelation.from_pairs(n, pairs)
+    closed = StateRelation(dense_closure(n, pairs))
+    assert closure_pair(rel) == coarsest_pair(closed)
+    assert rel.reflexive_transitive_closure() == closed
