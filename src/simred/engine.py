@@ -7,22 +7,30 @@ optimized variant first refines the initial pair by the output preorder,
 keeps Remove sets and counters only for symbols entering a block, restricts
 them to states that can emit the symbol, and never schedules the rest.
 
-Each loop iteration takes one pending (block B, symbol a) Remove set, splits
-the partition so that Remove is a union of blocks D, cuts every relation
-pair (C, D) with C holding an a-predecessor of B, and decrements the
-counters of each cut C.  The decrements are grouped by (C, b): all cut D
-blocks that symbol b enters update C's b-counters in one step, followed by
-one zero scan and one Remove-set update, which leaves the scheduling order
-and every counter metric as they are with one update per (C, D, b).
+All counters live in one integer arena and all Remove sets in a parallel
+boolean arena: the (block, symbol) pair owns the segment that starts at
+``off[block, symbol]`` (-1 when unallocated), one cell per state that can
+carry the counter.  Each loop iteration takes one pending (block B, symbol a)
+Remove set, splits the partition so that Remove is a union of blocks D
+(one ``bincount`` finds the blocks it cuts), cuts every relation pair (C, D)
+with C holding an a-predecessor of B, and decrements the counters of each
+cut C with one scatter over the predecessor entries of its cut D blocks, all
+symbols at once, followed by one zero scan.  Counters only fall, so the
+slots found at zero afterwards are exactly those that one update per
+(C, D, b) would find, and the scheduling order and every counter metric are
+those of per-(C, D, b) updates.
 
-The two restrictions and the output-preorder initialization can be toggled
-independently (they are result-preserving one by one), which is what
-:func:`run_engine` exposes; :func:`lrt` and :func:`olrt` are the two named
-corner configurations, and like :func:`run_engine` both return the final
-pair together with its run metrics.
+The two restrictions and the output-preorder initialization are toggled by
+the flags of :func:`run_engine`.  Remove sets restricted to emitters are
+sound only on a pair refined by the output preorder, so that restriction
+refines the initial pair whatever ``out_init`` says, and every flag
+combination computes the same pair.  :func:`lrt` and :func:`olrt` are the
+two named corner configurations, and like :func:`run_engine` both return
+the final pair together with its run metrics.
 
 The engine reads the LTS's own per-symbol CSR arrays and ``in_mask``; the
-only tables it derives itself are OLRT's emitter slots (``_Adjacency``).
+only tables it derives itself are the counter slots and the all-symbol
+predecessor entries (``_Adjacency``).
 """
 
 from __future__ import annotations
@@ -91,94 +99,78 @@ class SimMetrics:
         }
 
 
-def _gather_rows(indptr: np.ndarray, data: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Concatenate CSR rows (with multiplicity), vectorized."""
+def _row_index(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray | slice:
+    """Data indices of the CSR rows ``rows``, concatenated, vectorized (a
+    slice for one row)."""
     if len(rows) == 1:
         r = rows[0]
-        return data[indptr[r] : indptr[r + 1]]
+        return slice(indptr[r], indptr[r + 1])
     starts = indptr[rows]
     lens = indptr[rows + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=data.dtype)
-    out_starts = np.zeros(len(rows), dtype=np.int64)
-    np.cumsum(lens[:-1], out=out_starts[1:])
-    idx = np.repeat(starts - out_starts, lens) + np.arange(total, dtype=np.int64)
-    return data[idx]
+    out_starts = np.cumsum(lens) - lens
+    return np.repeat(starts - out_starts, lens) + np.arange(int(lens.sum()))
 
 
 def _segment_counts(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
     # np.add.reduceat chokes on empty segments; cumulative sums do not.
     cs = np.zeros(len(values) + 1, dtype=np.int64)
     np.cumsum(values, out=cs[1:])
-    return (cs[indptr[1:]] - cs[indptr[:-1]]).astype(np.int32)
+    return cs[indptr[1:]] - cs[indptr[:-1]]
+
+
+def _grown(arr: np.ndarray, cap: int, used: int) -> np.ndarray:
+    out = np.zeros(cap, dtype=arr.dtype)
+    out[:used] = arr[:used]
+    return out
 
 
 class _Adjacency:
-    """The per-symbol index tables OLRT derives from the LTS's CSR arrays.
+    """The index tables the engine derives once from the LTS's CSR arrays.
 
-    ``out_states[a]`` lists the states emitting a, ascending;
-    ``counter_slot[a]`` maps a state to its dense slot among them (-1 if it
-    emits no a); ``rsucc_indptr[a]`` is the successor CSR restricted to the
-    rows of ``out_states[a]``.
+    Symbol a has a counter slot for every state emitting a (``restrict``)
+    or for every state: ``width[a]`` slots, whose states ``slot_state[a]``
+    lists ascending, and ``succ_indptr[a]`` is the a-successor CSR over the
+    slots.  ``pred_indptr`` indexes one predecessor table over all symbols:
+    the entries of state w are its incoming transitions, each held as the
+    symbol (``pred_sym``) and the counter slot of its source
+    (``pred_slot``), and ``pred_dst`` repeats w.  ``count_dtype`` is the
+    narrowest counter type holding the largest per-symbol out-degree.
     """
 
-    def __init__(self, lts: Lts):
-        n = lts.state_count
-        self.out_states: list[np.ndarray] = []
-        self.counter_slot: list[np.ndarray] = []
-        self.rsucc_indptr: list[np.ndarray] = []
-        for si in lts.succ_indptr:
-            degrees = si[1:] - si[:-1]
-            outs = np.flatnonzero(degrees > 0)
-            self.out_states.append(outs)
-            slot = np.full(n, -1, dtype=np.int64)
-            slot[outs] = np.arange(len(outs))
-            self.counter_slot.append(slot)
-            rind = np.zeros(len(outs) + 1, dtype=np.int64)
-            np.cumsum(degrees[outs], out=rind[1:])
-            self.rsucc_indptr.append(rind)
-
-
-class _RemoveSet:
-    """Pending states for one (block, symbol), deduplicated by a width mask.
-
-    Items are held as a list of immutable id-array chunks so that inheriting
-    a copy on a split is O(number of chunks).
-    """
-
-    __slots__ = ("mask", "chunks", "count")
-
-    def __init__(self, width: int):
-        self.mask = np.zeros(width, dtype=bool)
-        self.chunks: list[np.ndarray] = []
-        self.count = 0
-
-    def clone(self) -> "_RemoveSet":
-        new = _RemoveSet.__new__(_RemoveSet)
-        new.mask = self.mask.copy()
-        new.chunks = list(self.chunks)
-        new.count = self.count
-        return new
-
-    def drain(self) -> np.ndarray:
-        states = (
-            np.concatenate(self.chunks) if self.chunks else np.empty(0, dtype=np.int64)
+    def __init__(self, lts: Lts, restrict: bool):
+        n, m = lts.state_count, lts.symbol_count
+        emits = lts.out_mask if restrict else np.ones((n, m), dtype=bool)
+        self.width = emits.sum(axis=0).tolist()
+        self.slot_state = [np.flatnonzero(col) for col in emits.T]
+        self.succ_indptr = [
+            np.append(si[states], si[-1])
+            for si, states in zip(lts.succ_indptr, self.slot_state)
+        ]
+        slot = np.cumsum(emits, axis=0) - 1
+        by_dst = np.argsort(lts.dst, kind="stable")
+        self.pred_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(lts.dst, minlength=n), out=self.pred_indptr[1:])
+        self.pred_sym = lts.sym[by_dst]
+        self.pred_slot = slot[lts.src, lts.sym][by_dst]
+        self.pred_dst = lts.dst[by_dst]
+        degree = int(np.diff(lts.succ_indptr, axis=1).max(initial=0))
+        self.count_dtype = next(
+            t for t in (np.uint8, np.uint16, np.int32) if degree <= np.iinfo(t).max
         )
-        self.mask = np.zeros(len(self.mask), dtype=bool)
-        self.chunks = []
-        self.count = 0
-        return states
+        self.one = self.count_dtype(1)  # a Python int sends ufunc.at down its slow path
 
 
 class EngineState:
     """Live data for one refinement run; advance it with :meth:`step`.
 
     Holds the current partition-relation pair (relation as a growable
-    boolean matrix over block ids), the per-(block, symbol) Remove sets and
-    counter arrays, the activation ordering of blocks, and run metrics.
-    Blocks whose Remove sets become nonempty move to the front of the
-    scheduling order; selection scans from the front.
+    boolean matrix over block ids), the counter and Remove-mask arenas with
+    their offset table ``_off[block, symbol]`` (-1 when unallocated) and a
+    free list of dropped segments per symbol, the activation ordering of
+    blocks, and run metrics.  A segment has one cell per counter slot of its
+    symbol, and the arenas grow by doubling.  Blocks whose Remove sets
+    become nonempty move to the front of the scheduling order; selection
+    scans from the front.
     """
 
     def __init__(
@@ -193,9 +185,10 @@ class EngineState:
     ):
         if initial.state_count != lts.state_count:
             raise EngineError("initial pair does not cover this LTS's states")
-        # refine_by_out validates the pair itself; the plain start checks it here
+        # Remove sets restricted to emitters are sound only on a pair refined
+        # by Out; refine_by_out validates the pair, the plain start does it here
         try:
-            if out_init:
+            if out_init or restrict_remove:
                 pair = refine_by_out(initial, lts)
             else:
                 validate_coarsest(initial)
@@ -210,9 +203,9 @@ class EngineState:
         self.audit = audit
         self.metrics = SimMetrics()
 
-        adj = _Adjacency(lts)
+        adj = _Adjacency(lts, restrict_remove)
         self._adj = adj
-        n, m = lts.state_count, lts.symbol_count
+        m = lts.symbol_count
 
         k = pair.block_count
         cap = max(4, k)
@@ -223,73 +216,77 @@ class EngineState:
         self._rel[:k, :k] = pair.rel
         self._bsize = np.zeros(cap, dtype=np.int64)
         self._bsize[:k] = [len(mem) for mem in self._members]
-
-        # per block: symbol -> counter array / remove set; key present == allocated
-        self._counts: list[dict[int, np.ndarray]] = [dict() for _ in range(k)]
-        self._removes: list[dict[int, _RemoveSet]] = [dict() for _ in range(k)]
         self._pending: list[set[int]] = [set() for _ in range(k)]
         self._stack: list[int] = []
-        self._cells = 0
-        # per-block caches, dropped when a split shrinks the block
-        self._insym_cache: dict[int, list[int]] = {}
-        self._dec_cache: dict[tuple[int, int], tuple] = {}
 
-        widths = [
-            len(adj.out_states[a]) if restrict_remove else n for a in range(m)
-        ]
+        # the initial segments are laid out block by block, symbols ascending
+        if restrict_to_in:
+            alloc = np.zeros((k, m), dtype=bool)
+            alloc[self._block_of[lts.dst], lts.sym] = True
+        else:
+            alloc = np.ones((k, m), dtype=bool)
+        sizes = np.where(alloc, adj.width, 0)
+        starts = (np.cumsum(sizes) - sizes.ravel()).reshape(k, m)
+        self._top = self._cells = int(sizes.sum())
+        self._off = np.full((cap, m), -1, dtype=np.int64)
+        self._off[:k] = np.where(alloc, starts, -1)
+        self._free: list[list[int]] = [[] for _ in range(m)]
+        self._cnt = np.zeros(max(self._top, 1), dtype=adj.count_dtype)
+        self._rmv = np.zeros(len(self._cnt), dtype=bool)
 
         for bid in range(k):
             above = self._above_mask(bid)
-            if restrict_to_in:
-                symbols = self._in_symbols(self._members[bid]).tolist()
-            else:
-                symbols = range(m)
-            for a in symbols:
+            for a in np.flatnonzero(alloc[bid]).tolist():
+                o = int(self._off[bid, a])
                 counts = self._initial_counts(a, above)
-                self._counts[bid][a] = counts
-                self._cells += len(counts)
-                rs = _RemoveSet(widths[a])
-                zero = np.flatnonzero(counts == 0)
-                if zero.size:
-                    rs.mask[zero] = True
-                    states = (
-                        adj.out_states[a][zero] if restrict_remove else zero
-                    )
-                    rs.chunks.append(states)
-                    rs.count = len(states)
-                    self.metrics.remove_enqueued += len(states)
-                self._removes[bid][a] = rs
-                if rs.count:
-                    self._activate(bid, a)
-        self.metrics.counters_allocated = max(self.metrics.counters_allocated, self._cells)
+                self._cnt[o : o + len(counts)] = counts
+                zero = self._rmv[o : o + len(counts)]
+                np.equal(counts, 0, out=zero)
+                enqueued = int(np.count_nonzero(zero))
+                if enqueued:
+                    self.metrics.remove_enqueued += enqueued
+                    self._activate(bid, (a,))
+        self.metrics.counters_allocated = self._cells
         if audit:
             self.audit_state()
 
     # -- helpers ------------------------------------------------------------
 
-    def _in_symbols(self, states: np.ndarray) -> np.ndarray:
-        """Symbols entering some state of ``states``, ascending."""
-        return np.flatnonzero(self.lts.in_mask[states].any(axis=0))
-
     def _preds_of(self, a: int, states: np.ndarray) -> np.ndarray:
         """The a-predecessors of ``states``, with multiplicity."""
-        return _gather_rows(self.lts.pred_indptr[a], self.lts.pred_data[a], states)
+        return self.lts.pred_data[a][_row_index(self.lts.pred_indptr[a], states)]
 
     def _above_mask(self, bid: int) -> np.ndarray:
         return self._rel[bid, : self._nb][self._block_of]
 
     def _initial_counts(self, a: int, above: np.ndarray) -> np.ndarray:
-        vals = above[self.lts.succ_data[a]]
-        if self.restrict_remove:
-            return _segment_counts(self._adj.rsucc_indptr[a], vals)
-        return _segment_counts(self.lts.succ_indptr[a], vals)
+        return _segment_counts(self._adj.succ_indptr[a], above[self.lts.succ_data[a]])
 
-    def _activate(self, bid: int, a: int) -> None:
+    def _segment(self, bid: int, a: int) -> slice:
+        o = int(self._off[bid, a])
+        return slice(o, o + self._adj.width[a])
+
+    def _activate(self, bid: int, symbols) -> None:
         # move-to-front: newly pending blocks go on top of the scan order
-        if a not in self._pending[bid]:
-            self._pending[bid].add(a)
+        self._pending[bid].update(symbols)
         if not self._stack or self._stack[-1] != bid:
             self._stack.append(bid)
+
+    def _alloc(self, bid: int, a: int) -> int:
+        """Give (bid, a) a segment, a free-listed one if there is any."""
+        w = self._adj.width[a]
+        if self._free[a]:
+            o = self._free[a].pop()
+        else:
+            o = self._top
+            self._top += w
+            if self._top > len(self._cnt):
+                cap = max(2 * len(self._cnt), self._top)
+                self._cnt = _grown(self._cnt, cap, o)
+                self._rmv = _grown(self._rmv, cap, o)
+        self._off[bid, a] = o
+        self._cells += w
+        return o
 
     def _new_block(self) -> int:
         if self._nb == self._rel.shape[0]:
@@ -298,33 +295,30 @@ class EngineState:
             grown = np.zeros((cap, cap), dtype=bool)
             grown[: self._nb, : self._nb] = self._rel[: self._nb, : self._nb]
             self._rel = grown
-            grown_sizes = np.zeros(cap, dtype=np.int64)
-            grown_sizes[: self._nb] = self._bsize[: self._nb]
-            self._bsize = grown_sizes
+            self._bsize = _grown(self._bsize, cap, self._nb)
+            off = np.full((cap, self._off.shape[1]), -1, dtype=np.int64)
+            off[: self._nb] = self._off[: self._nb]
+            self._off = off
         nid = self._nb
         self._nb += 1
         self._members.append(np.empty(0, dtype=np.int64))
-        self._counts.append(dict())
-        self._removes.append(dict())
         self._pending.append(set())
         return nid
 
     def _shrink_to_in(self, bid: int) -> None:
-        """Drop data for symbols that no longer enter the block."""
+        """Free the segments of symbols that no longer enter the block."""
         if not self.restrict_to_in:
             return
-        allocated = sorted(self._counts[bid])
-        if not allocated:
-            return
-        syms = np.array(allocated)
-        alive = self.lts.in_mask[self._members[bid]][:, syms].any(axis=0)
-        for a in syms[~alive]:
-            a = int(a)
-            self._cells -= len(self._counts[bid].pop(a))
-            rs = self._removes[bid].pop(a)
-            if rs.count:
+        row = self._off[bid]
+        entering = self.lts.in_mask[self._members[bid]].any(axis=0)
+        for a in ((row >= 0) & ~entering).nonzero()[0].tolist():
+            seg = self._segment(bid, a)
+            if self._rmv[seg].any():
                 self.metrics.skipped_iterations += 1
             self._pending[bid].discard(a)
+            self._free[a].append(seg.start)
+            self._cells -= self._adj.width[a]
+            row[a] = -1
 
     # -- the loop -----------------------------------------------------------
 
@@ -341,13 +335,15 @@ class EngineState:
         bid = stack[-1]
         a = min(self._pending[bid])
         self._pending[bid].discard(a)
-        remove = self._removes[bid][a].drain()
-        remove.sort()
+        mask = self._rmv[self._segment(bid, a)]
+        slots = mask.nonzero()[0]
+        mask[slots] = False
+        remove = self._adj.slot_state[a][slots]  # ascending, like the slots
         b_pre = self._members[bid]  # snapshot: split replaces member arrays
         self.metrics.iterations += 1
 
         d_blocks = self._split(remove)
-        self._prune(a, b_pre, d_blocks)
+        self._prune(a, b_pre, remove, d_blocks)
         if self.audit:
             self.audit_state()
         return True
@@ -357,157 +353,104 @@ class EngineState:
             pass
         return self
 
-    def _split(self, remove: np.ndarray) -> list[int]:
-        """Split the partition by ``remove``; return the block ids inside it."""
-        if remove.size == 0:
-            return []
+    def _split(self, remove: np.ndarray) -> np.ndarray:
+        """Split the partition by ``remove``; return the block ids inside it,
+        ascending."""
+        nb = self._nb
         owners = self._block_of[remove]
-        order = np.argsort(owners, kind="stable")
-        rs = remove[order]
-        owners = owners[order]
-        uniq, starts, counts = np.unique(owners, return_index=True, return_counts=True)
-        full = counts == self._bsize[uniq]
-        d_blocks = uniq[full].tolist()  # blocks fully inside: child equals parent
+        hits = np.bincount(owners, minlength=nb)
+        touched = hits.nonzero()[0]
+        sizes = self._bsize[touched]
+        if sizes.sum() == len(remove):
+            return touched  # every touched block lies inside Remove
+        cut = hits[touched] != sizes
         metrics = self.metrics
-        for pos in np.flatnonzero(~full):
-            pb = int(uniq[pos])
-            s = int(starts[pos])
-            seg = rs[s : s + int(counts[pos])]
-            mem = self._members[pb]
+        width = self._adj.width
+        for pb in touched[cut].tolist():
+            seg = remove[owners == pb]
             nid = self._new_block()
             metrics.splits += 1
             self._block_of[seg] = nid
+            mem = self._members[pb]
             keep = mem[self._block_of[mem] == pb]
             self._members[pb] = keep
             self._members[nid] = seg
             self._bsize[pb] = len(keep)
             self._bsize[nid] = len(seg)
-            # decrement slots are cached only for the block's in-symbols
-            for b in self._insym_cache.pop(pb, ()):
-                self._dec_cache.pop((pb, b), None)
             old = nid  # row/col count before this block existed
             rel = self._rel
             rel[nid, :old] = rel[pb, :old]
             rel[:old, nid] = rel[:old, pb]
             rel[nid, nid] = rel[pb, pb]
             # children inherit counters and pending Remove sets from the parent;
-            # the surviving part reuses the parent's storage, the new part
+            # the surviving part keeps the parent's segments, the new part
             # copies only the symbols that still enter it
+            inherit = self._off[pb] >= 0
             if self.restrict_to_in:
-                child_syms = self._in_symbols(seg).tolist()
-            else:
-                child_syms = sorted(self._counts[pb])
-            for b in child_syms:
-                arr = self._counts[pb].get(b)
-                if arr is None:
-                    continue
-                copy = arr.copy()
-                self._counts[nid][b] = copy
-                self._cells += len(copy)
-                clone = self._removes[pb][b].clone()
-                self._removes[nid][b] = clone
-                if clone.count:
-                    metrics.remove_enqueued += clone.count
-                    self._activate(nid, b)
+                inherit &= self.lts.in_mask[seg].any(axis=0)
+            for b in inherit.nonzero()[0].tolist():
+                o = self._alloc(nid, b)
+                src = int(self._off[pb, b])
+                self._cnt[o : o + width[b]] = self._cnt[src : src + width[b]]
+                mask = self._rmv[src : src + width[b]]
+                self._rmv[o : o + width[b]] = mask
+                enqueued = int(np.count_nonzero(mask))
+                if enqueued:
+                    metrics.remove_enqueued += enqueued
+                    self._activate(nid, (b,))
             self._shrink_to_in(pb)
-            d_blocks.append(nid)
         metrics.counters_allocated = max(metrics.counters_allocated, self._cells)
-        return sorted(d_blocks)
+        # the new blocks got the next ids, so they sort after the others
+        return np.concatenate([touched[~cut], np.arange(nb, self._nb)])
 
-    def _in_symbols_of(self, bid: int) -> list[int]:
-        syms = self._insym_cache.get(bid)
-        if syms is None:
-            syms = self._in_symbols(self._members[bid]).tolist()
-            self._insym_cache[bid] = syms
-        return syms
-
-    def _decrement_indices(self, bid: int, b: int):
-        """Counter slots hit when block ``bid`` leaves some above-set, with
-        multiplicity, plus the deduplicated slots (None when already unique)."""
-        key = (bid, b)
-        cached = self._dec_cache.get(key)
-        if cached is None:
-            dmem = self._members[bid]
-            sources = self._preds_of(b, dmem)
-            if self.restrict_remove:
-                idx = self._adj.counter_slot[b][sources]
-            else:
-                idx = sources
-            # predecessor sets are duplicate-free, so multiplicity needs >1 member
-            uniq = None if len(dmem) == 1 else np.unique(idx)
-            cached = (idx, uniq)
-            self._dec_cache[key] = cached
-        return cached
-
-    def _prune(self, a: int, b_pre: np.ndarray, d_blocks: list[int]) -> None:
+    def _prune(
+        self, a: int, b_pre: np.ndarray, remove: np.ndarray, d_blocks: np.ndarray
+    ) -> None:
         """Delete the (C, D) relation pairs this step cuts and propagate the
-        counter decrements, grouped by (C, b).
+        counter decrements, one scatter per cut C.
 
         C ranges over the blocks holding a-predecessors of the step's block,
         D over the blocks inside its Remove set; all cut pairs come from one
-        slice of the relation.  For each cut C, the decrement slots of every
-        cut D that symbol b enters are applied to C's b-counters together,
-        with one zero scan and one Remove-set update per (C, b).  Counters
-        only fall and never below zero, so the slots found at zero after the
-        group are exactly those the per-D updates found one D at a time.
-        The (C, b) activations still come in ascending C order, and
-        activating only adds b to C's pending set and pushes C once, so the
-        scheduling order and every metric equal those of per-(C, D, b)
-        updates.
+        slice of the relation.  The predecessor entries of the Remove states
+        are gathered once.  For each cut C, in ascending order, the entries
+        of its cut D blocks whose symbol has a segment on C are decremented
+        together, and the slots found at zero and not yet in C's Remove sets
+        join them.  Activating only adds a symbol to C's pending set and
+        pushes C once, so the scheduling order and every metric equal those
+        of per-(C, D, b) updates.
         """
         preds = self._preds_of(a, b_pre)
-        if preds.size == 0 or not d_blocks:
+        if preds.size == 0 or d_blocks.size == 0:
             return
-        c_blocks = np.unique(self._block_of[preds])
-        d_arr = np.asarray(d_blocks)
-        rows, cols = np.nonzero(self._rel[np.ix_(c_blocks, d_arr)])
+        c_blocks = np.bincount(self._block_of[preds], minlength=self._nb).nonzero()[0]
+        cut = self._rel[c_blocks[:, None], d_blocks]
+        rows, cols = np.nonzero(cut)
         if rows.size == 0:
             return
-        cut_c, cut_d = c_blocks[rows], d_arr[cols]
-        self._rel[cut_c, cut_d] = False
-        cut: dict[int, list[int]] = {}  # row-major order: C ascending
-        for cid, did in zip(cut_c.tolist(), cut_d.tolist()):
-            cut.setdefault(cid, []).append(did)
-        for cid, dids in cut.items():
-            counts_c = self._counts[cid]
-            groups: dict[int, list[int]] = {}
-            for did in dids:
-                for b in self._in_symbols_of(did):
-                    if b in counts_c:  # else b does not enter C; never scheduled
-                        groups.setdefault(b, []).append(did)
-            for b, group in groups.items():
-                if self._decrement_group(cid, b, group):
-                    self._activate(cid, b)
-
-    def _decrement_group(self, cid: int, b: int, dids: list[int]) -> bool:
-        """Decrement C's b-counters for the blocks ``dids`` leaving its
-        above-set and enqueue the slots that reach zero; True if any did."""
-        arr = self._counts[cid][b]
-        if len(dids) == 1:
-            idx, uniq = self._decrement_indices(dids[0], b)
-            if uniq is None:
-                arr[idx] -= 1
-                uniq = idx
-            else:
-                np.subtract.at(arr, idx, 1)
-        else:
-            idx = np.concatenate([self._decrement_indices(did, b)[0] for did in dids])
-            hits = np.bincount(idx, minlength=len(arr))
-            arr -= hits
-            uniq = np.flatnonzero(hits)
-        zero = uniq[arr[uniq] == 0]
-        if zero.size == 0:
-            return False
-        rs = self._removes[cid][b]
-        fresh = zero[~rs.mask[zero]]
-        if fresh.size == 0:
-            return False
-        rs.mask[fresh] = True
-        states = self._adj.out_states[b][fresh] if self.restrict_remove else fresh
-        rs.chunks.append(states)
-        rs.count += len(states)
-        self.metrics.remove_enqueued += len(states)
-        return True
+        self._rel[c_blocks[rows], d_blocks[cols]] = False
+        adj, cnt, rmv, metrics = self._adj, self._cnt, self._rmv, self.metrics
+        entries = _row_index(adj.pred_indptr, remove)
+        sym, slot = adj.pred_sym[entries], adj.pred_slot[entries]
+        # each entry enters a Remove state, so its block is one of the D blocks
+        d_pos = np.empty(self._nb, dtype=np.int64)
+        d_pos[d_blocks] = np.arange(len(d_blocks))
+        d_pos = d_pos[self._block_of[adj.pred_dst[entries]]]
+        for i in cut.any(axis=1).nonzero()[0].tolist():
+            cid = int(c_blocks[i])
+            base = self._off[cid][sym]
+            # keep entries into a cut D whose symbol has a segment on C (a
+            # symbol that does not enter C is never scheduled there)
+            live = cut[i][d_pos] & (base >= 0)
+            flat = (base + slot)[live]
+            np.subtract.at(cnt, flat, adj.one)
+            fresh = (cnt[flat] == 0) & ~rmv[flat]
+            hit = flat[fresh]
+            if not hit.size:
+                continue
+            rmv[hit] = True
+            hit.sort()  # a source with several successors in D repeats its slot
+            metrics.remove_enqueued += len(hit) - int(np.count_nonzero(hit[1:] == hit[:-1]))
+            self._activate(cid, sym[live][fresh].tolist())
 
     # -- results and audits ---------------------------------------------------
 
@@ -526,24 +469,20 @@ class EngineState:
             above = self._above_mask(bid)
             if not self._rel[bid, bid]:
                 raise AuditError(f"block {bid} lost reflexivity")
-            for a, arr in self._counts[bid].items():
+            for a in np.flatnonzero(self._off[bid] >= 0).tolist():
+                seg = self._segment(bid, a)
+                have = self._cnt[seg]
                 expected = self._initial_counts(a, above)
-                if not np.array_equal(arr, expected):
-                    v = int(np.flatnonzero(arr != expected)[0])
+                if not np.array_equal(have, expected):
+                    v = int(np.flatnonzero(have != expected)[0])
                     raise AuditError(
                         f"counter mismatch at block {bid}, symbol {a}, slot {v}: "
-                        f"have {int(arr[v])}, expected {int(expected[v])}"
+                        f"have {int(have[v])}, expected {int(expected[v])}"
                     )
-                rs = self._removes[bid][a]
-                listed = np.zeros(len(rs.mask), dtype=bool)
-                for chunk in rs.chunks:
-                    if self.restrict_remove:
-                        listed[self._adj.counter_slot[a][chunk]] = True
-                    else:
-                        listed[chunk] = True
-                if not np.array_equal(listed, rs.mask):
-                    raise AuditError(f"remove mask out of sync at block {bid}, symbol {a}")
-                if (expected[rs.mask] != 0).any():
+                mask = self._rmv[seg]
+                if mask.any() and a not in self._pending[bid]:
+                    raise AuditError(f"remove set at block {bid}, symbol {a} is not pending")
+                if (expected[mask] != 0).any():
                     raise AuditError(
                         f"remove set at block {bid}, symbol {a} holds a state "
                         "with a nonzero counter"

@@ -97,7 +97,8 @@ class PartitionRelationPair:
         renumber[order] = np.arange(k)
         self.block_of = renumber[labels]
         self.block_of.setflags(write=False)
-        self.rel = rel[np.ix_(order, order)]
+        # gathering rows, then columns, beats one 2-D fancy index
+        self.rel = np.take(rel[order], order, axis=1)
         self.rel.setflags(write=False)
         parts = np.split(by_label, starts[1:])
         self.members = tuple(parts[b] for b in order.tolist())
@@ -154,7 +155,7 @@ def coarsest_pair(rho: StateRelation) -> PartitionRelationPair:
     rho.require_preorder("initial relation")
     m = rho.matrix
     reps, block_of = _row_classes(np.packbits(m, axis=1))
-    return PartitionRelationPair.from_labels(block_of, m[np.ix_(reps, reps)])
+    return PartitionRelationPair.from_labels(block_of, np.take(m[reps], reps, axis=1))
 
 
 def closure_pair(rel: StateRelation) -> PartitionRelationPair:

@@ -17,7 +17,10 @@ from simred import (
     olrt,
     run_engine,
 )
+from simred.engine import _Adjacency
 from simred.generate import random_lts, random_preorder
+
+LRT_FLAGS = dict(out_init=False, restrict_to_in=False, restrict_remove=False)
 
 
 def full_init(n):
@@ -179,7 +182,8 @@ def test_output_laws_random():
 
 
 def test_optimized_mode_allocates_only_entering_symbols():
-    # no Remove set or counter array may exist for a symbol outside in(B)
+    # no Remove set or counter segment may exist for a symbol outside in(B);
+    # both live at the block's offsets, so an unset offset means neither
     for seed in range(12):
         n = 3 + seed % 6
         lts = random_lts(n, 3, edge_prob=0.3, seed=seed, sparsity=0.7)
@@ -187,9 +191,8 @@ def test_optimized_mode_allocates_only_entering_symbols():
         while True:
             for bid in range(state._nb):
                 entering = lts.in_mask[state._members[bid]].any(axis=0)
-                allowed = set(np.flatnonzero(entering).tolist())
-                assert set(state._counts[bid]) <= allowed
-                assert set(state._removes[bid]) <= allowed
+                allocated = state._off[bid] >= 0
+                assert not (allocated & ~entering).any()
             if not engine_step(state):
                 break
 
@@ -207,28 +210,30 @@ def test_counter_audit_runs_clean():
 
 
 def test_batched_prune_multi_block_groups():
-    # A step that cuts several D blocks under one C for the same symbol takes
-    # the grouped decrement path; counts are those of per-(C, D, b) updates.
+    # A step that cuts several D blocks under one C that the same symbol
+    # enters decrements them in one scatter; counts are those of
+    # per-(C, D, b) updates.
     lts = random_lts(100, 3, n_edges=150, sparsity=0.67, seed=1)
     init = full_init(lts.state_count)
     oracle = max_simulation_naive(lts, StateRelation.full(lts.state_count)).relation
     corners = {
         "olrt": ({}, (2702, 3305, 104, 56, 52)),
-        "lrt": (
-            dict(out_init=False, restrict_to_in=False, restrict_remove=False),
-            (18900, 9120, 235, 62, 0),
-        ),
+        "lrt": (LRT_FLAGS, (18900, 9120, 235, 62, 0)),
     }
     for flags, expected in corners.values():
         state = EngineState(lts, init, audit=True, **flags)
         widest = []
-        grouped = state._decrement_group
+        prune = state._prune
 
-        def spy(cid, b, dids):
-            widest.append(len(dids))
-            return grouped(cid, b, dids)
+        def spy(a, b_pre, remove, d_blocks):
+            # per cut C: the most cut D blocks one allocated symbol enters
+            for cid in np.unique(state._block_of[state._preds_of(a, b_pre)]):
+                cut = [d for d in d_blocks if state._rel[cid, d]]
+                entered = sum(lts.in_mask[state._members[d]].any(axis=0) for d in cut)
+                widest.append(int(np.max(entered * (state._off[cid] >= 0), initial=0)))
+            return prune(a, b_pre, remove, d_blocks)
 
-        state._decrement_group = spy
+        state._prune = spy
         state.run()
         assert max(widest) >= 2
         assert state.current_pair().induced_relation() == oracle
@@ -237,6 +242,27 @@ def test_batched_prune_multi_block_groups():
             m.counters_allocated, m.remove_enqueued, m.iterations, m.splits,
             m.skipped_iterations,
         ) == expected
+
+
+def test_counter_pin_loop_shaped_input():
+    # the counters of a refinement-heavy run, as the per-(block, symbol)
+    # engine counted them; a change of the activation order moves them
+    lts = random_lts(300, 4, n_edges=1200, sparsity=0.25, seed=7)
+    init = PartitionRelationPair.full(300)
+    pins = [
+        ({}, (56834, 51301, 1165, 292, 158)),
+        (LRT_FLAGS, (356400, 180785, 1706, 296, 0)),
+    ]
+    pairs = []
+    for flags, expected in pins:
+        pair, m = run_engine(lts, init, **flags)
+        assert (
+            m.counters_allocated, m.remove_enqueued, m.iterations, m.splits,
+            m.skipped_iterations,
+        ) == expected
+        pairs.append(pair)
+    assert pairs[0] == pairs[1]
+    assert pairs[0].block_count == 297
 
 
 def test_validate_coarsest_once_per_run(l3, monkeypatch):
@@ -258,19 +284,53 @@ def test_validate_coarsest_once_per_run(l3, monkeypatch):
         assert len(calls) == 1, engine.__name__
 
 
-def test_decrement_cache_holds_live_blocks_only():
+def test_counter_arena_holds_live_segments_only():
+    # live segments lie inside the arena, apart from each other and from
+    # every free-listed segment; offset rows past the last block stay unset
     lts = random_lts(200, 3, n_edges=600, sparsity=0.67, seed=3)
-    for flags in ({}, dict(out_init=False, restrict_to_in=False, restrict_remove=False)):
-        state = EngineState(lts, full_init(lts.state_count), **flags).run()
+    for flags in ({}, LRT_FLAGS):
+        state = EngineState(lts, full_init(lts.state_count), **flags)
+        freed = False
+        while True:
+            nb = state._nb
+            assert (state._off[nb:] == -1).all()
+            live = [(state._segment(bid, a), a) for bid, a in np.argwhere(state._off[:nb] >= 0)]
+            assert sum(seg.stop - seg.start for seg, _ in live) == state._cells
+            assert not any(seg.start in state._free[a] for seg, a in live)
+            width = state._adj.width
+            free = [slice(o, o + width[a]) for a, offs in enumerate(state._free) for o in offs]
+            spans = sorted(
+                (seg.start, seg.stop) for seg in [s for s, _ in live] + free if seg.stop > seg.start
+            )
+            assert all(stop <= start for (_, stop), (start, _) in zip(spans, spans[1:]))
+            assert all(stop <= state._top <= len(state._cnt) for _, stop in spans)
+            freed = freed or bool(free)
+            if not engine_step(state):
+                break
         assert state.metrics.splits > 0
-        keys = [(key[0], key[-1]) for key in state._dec_cache]
-        assert len(keys) == len(set(keys))  # one entry per (block, symbol)
-        for (bid, b), (idx, _) in zip(keys, state._dec_cache.values()):
-            # each entry matches the block's current members
-            fresh = state._preds_of(b, state._members[bid])
-            if state.restrict_remove:
-                fresh = state._adj.counter_slot[b][fresh]
-            assert np.array_equal(idx, fresh)
+        assert freed == state.restrict_to_in  # only OLRT drops segments
+
+
+def test_counter_dtype_follows_out_degree():
+    # s0 has 300 a-successors, 256 of them with a b-move, so its counter
+    # against that block reads 0 in 8 bits and would wrongly drop s302
+    # (whose a-successors are among s0's) from below s0
+    n = 303
+    edges = [(0, 0, w) for w in range(1, 301)]
+    edges += [(302, 0, w) for w in range(45, 101)]
+    edges += [(w, 1, 301) for w in range(45, 301)]
+    lts = Lts.from_ids([f"s{i}" for i in range(n)], ["a", "b"], edges)
+    oracle = max_simulation_naive(lts, StateRelation.full(n)).relation
+    for flags in ({}, LRT_FLAGS):
+        state = EngineState(lts, full_init(n), **flags).run()
+        assert state._cnt.dtype == np.uint16
+        assert state.current_pair().induced_relation() == oracle
+    small = random_lts(20, 2, n_edges=60, seed=0)
+    assert EngineState(small, full_init(20))._cnt.dtype == np.uint8
+    star = Lts.from_ids(
+        [f"s{i}" for i in range(70_000)], ["a"], [(0, 0, w) for w in range(70_000)]
+    )
+    assert _Adjacency(star, True).count_dtype == np.int32
 
 
 def test_block_capacity_stays_within_state_count():
