@@ -99,6 +99,13 @@ class SimMetrics:
         }
 
 
+# counter initialization gathers at most about this many cells at a time
+_GATHER_CELLS = 1 << 20
+# a block of two to this many members gathers its predecessors one slice per
+# state; one member is one slice of _row_index, more take its vectorized path
+_FEW_STATES = 8
+
+
 def _row_index(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray | slice:
     """Data indices of the CSR rows ``rows``, concatenated, vectorized (a
     slice for one row)."""
@@ -109,13 +116,6 @@ def _row_index(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray | slice:
     lens = indptr[rows + 1] - starts
     out_starts = np.cumsum(lens) - lens
     return np.repeat(starts - out_starts, lens) + np.arange(int(lens.sum()))
-
-
-def _segment_counts(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # np.add.reduceat chokes on empty segments; cumulative sums do not.
-    cs = np.zeros(len(values) + 1, dtype=np.int64)
-    np.cumsum(values, out=cs[1:])
-    return cs[indptr[1:]] - cs[indptr[:-1]]
 
 
 def _grown(arr: np.ndarray, cap: int, used: int) -> np.ndarray:
@@ -217,7 +217,6 @@ class EngineState:
         self._bsize = np.zeros(cap, dtype=np.int64)
         self._bsize[:k] = [len(mem) for mem in self._members]
         self._pending: list[set[int]] = [set() for _ in range(k)]
-        self._stack: list[int] = []
 
         # the initial segments are laid out block by block, symbols ascending
         if restrict_to_in:
@@ -234,18 +233,26 @@ class EngineState:
         self._cnt = np.zeros(max(self._top, 1), dtype=adj.count_dtype)
         self._rmv = np.zeros(len(self._cnt), dtype=bool)
 
-        for bid in range(k):
-            above = self._above_mask(bid)
-            for a in np.flatnonzero(alloc[bid]).tolist():
-                o = int(self._off[bid, a])
-                counts = self._initial_counts(a, above)
-                self._cnt[o : o + len(counts)] = counts
-                zero = self._rmv[o : o + len(counts)]
-                np.equal(counts, 0, out=zero)
-                enqueued = int(np.count_nonzero(zero))
-                if enqueued:
-                    self.metrics.remove_enqueued += enqueued
-                    self._activate(bid, (a,))
+        # one gather per symbol over every block that allocates it, a chunk
+        # of blocks at a time; blocks with zeros go on the stack ascending
+        zeros = np.zeros((k, m), dtype=np.int64)
+        for a in range(m):
+            blocks = np.flatnonzero(alloc[:, a])
+            w = adj.width[a]
+            rows = max(1, _GATHER_CELLS // max(len(lts.succ_data[a]) + 1, w))
+            for lo in range(0, len(blocks), rows):
+                chunk = blocks[lo : lo + rows]
+                counts = self._counts(a, chunk)
+                cells = self._off[chunk, a][:, None] + np.arange(w)
+                self._cnt[cells] = counts
+                zero = counts == 0
+                self._rmv[cells] = zero
+                zeros[chunk, a] = np.count_nonzero(zero, axis=1)
+        self.metrics.remove_enqueued = int(zeros.sum())
+        bids, syms = zeros.nonzero()
+        for bid, a in zip(bids.tolist(), syms.tolist()):
+            self._pending[bid].add(a)
+        self._stack: list[int] = np.unique(bids).tolist()
         self.metrics.counters_allocated = self._cells
         if audit:
             self.audit_state()
@@ -254,13 +261,21 @@ class EngineState:
 
     def _preds_of(self, a: int, states: np.ndarray) -> np.ndarray:
         """The a-predecessors of ``states``, with multiplicity."""
-        return self.lts.pred_data[a][_row_index(self.lts.pred_indptr[a], states)]
+        data, indptr = self.lts.pred_data[a], self.lts.pred_indptr[a]
+        if 1 < len(states) <= _FEW_STATES:
+            return np.concatenate([data[indptr[v] : indptr[v + 1]] for v in states.tolist()])
+        return data[_row_index(indptr, states)]
 
-    def _above_mask(self, bid: int) -> np.ndarray:
-        return self._rel[bid, : self._nb][self._block_of]
-
-    def _initial_counts(self, a: int, above: np.ndarray) -> np.ndarray:
-        return _segment_counts(self._adj.succ_indptr[a], above[self.lts.succ_data[a]])
+    def _counts(self, a: int, blocks: np.ndarray) -> np.ndarray:
+        """Counter values of symbol a on ``blocks``, one row per block: for
+        each slot, the state's a-successors in blocks above that block."""
+        indptr = self._adj.succ_indptr[a]
+        above = self._rel[blocks][:, self._block_of[self.lts.succ_data[a]]]
+        # prefix sums in the counter dtype may wrap, but every segment sum
+        # fits it, so the wrapped differences are exact
+        sums = np.zeros((len(blocks), above.shape[1] + 1), dtype=self._cnt.dtype)
+        np.cumsum(above, axis=1, dtype=sums.dtype, out=sums[:, 1:])
+        return sums[:, indptr[1:]] - sums[:, indptr[:-1]]
 
     def _segment(self, bid: int, a: int) -> slice:
         o = int(self._off[bid, a])
@@ -466,13 +481,12 @@ class EngineState:
         debug runs.
         """
         for bid in range(self._nb):
-            above = self._above_mask(bid)
             if not self._rel[bid, bid]:
                 raise AuditError(f"block {bid} lost reflexivity")
             for a in np.flatnonzero(self._off[bid] >= 0).tolist():
                 seg = self._segment(bid, a)
                 have = self._cnt[seg]
-                expected = self._initial_counts(a, above)
+                expected = self._counts(a, np.array([bid]))[0]
                 if not np.array_equal(have, expected):
                     v = int(np.flatnonzero(have != expected)[0])
                     raise AuditError(

@@ -11,6 +11,7 @@ reads these arrays; nothing rebuilds adjacency.
 from __future__ import annotations
 
 import re
+from itertools import repeat
 
 import numpy as np
 
@@ -259,23 +260,66 @@ def quotient(lts: Lts, pair) -> Lts:
 # -- text formats ----------------------------------------------------------
 
 
+def _bad_line_re(token: str, count: int) -> re.Pattern:
+    """Finds, in lines joined by ``\\n``, the start of the first line that
+    does not hold ``count`` tokens or none before an optional comment.
+
+    A negative lookahead per line keeps no backtracking state across lines,
+    where one match of the whole text would hold some for every line.
+    """
+    sep = r"[^\S\n]"  # whitespace within a line, exactly what str.split() splits on
+    line = rf"{sep}*(?:{token}(?:{sep}+{token}){{{count - 1}}}{sep}*)?(?:#[^\n]*)?"
+    return re.compile(rf"^(?!{line}$)", re.MULTILINE)
+
+
+_LTS_BAD_LINE = _bad_line_re(r"[A-Za-z0-9_.\-]+", 3)
+_RELATION_BAD_LINE = _bad_line_re(r"[^\s#]+", 2)
+_COMMENT_RE = re.compile(r"#[^\n]*")
+
+
+def _tokens(body: str) -> list[str]:
+    return (_COMMENT_RE.sub("", body) if "#" in body else body).split()
+
+
+def _token_lines(lines, count: int):
+    """(line number, tokens) of every line holding tokens; raises at the
+    first line holding another number of tokens than ``count``."""
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            if len(tokens) != count:
+                raise LtsParseError(lineno, f"expected {count} tokens, got {len(tokens)}")
+            yield lineno, tokens
+
+
+def _interned(names: list[str]):
+    """The distinct names in first-appearance order, and each name's id."""
+    ids = {name: i for i, name in enumerate(dict.fromkeys(names))}
+    return list(ids), np.fromiter(map(ids.__getitem__, names), dtype=np.int64, count=len(names))
+
+
 def parse_lts(text: str) -> Lts:
     """Parse the line-based LTS format: ``SRC LABEL DST`` per line; ``#``
-    starts a comment that runs to the end of the line."""
-    transitions = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        if len(tokens) != 3:
-            raise LtsParseError(lineno, f"expected 3 tokens, got {len(tokens)}")
-        for tok in tokens:
-            if not IDENTIFIER_RE.match(tok):
-                raise LtsParseError(lineno, f"invalid identifier {tok!r}")
-        transitions.append(tuple(tokens))
-    if not transitions:
+    starts a comment that runs to the end of the line.
+
+    One regular expression search validates the whole text; only a text it
+    rejects is scanned line by line, to report the first bad line.  States and
+    symbols get ids in first-appearance order, as :func:`build_lts` gives.
+    """
+    lines = text.splitlines()
+    body = "\n".join(lines)
+    if _LTS_BAD_LINE.search(body):
+        for lineno, line_tokens in _token_lines(lines, 3):
+            for tok in line_tokens:
+                if not IDENTIFIER_RE.match(tok):
+                    raise LtsParseError(lineno, f"invalid identifier {tok!r}")
+    tokens = _tokens(body)
+    if not tokens:
         raise LtsParseError(1, "empty system: no transitions")
-    return build_lts(transitions)
+    symbols, sym = _interned(tokens[1::3])
+    del tokens[1::3]  # sources and targets, interleaved in input order
+    states, ends = _interned(tokens)
+    return Lts.from_ids(states, symbols, np.column_stack([ends[0::2], sym, ends[1::2]]))
 
 
 def serialize_lts(lts: Lts) -> str:
@@ -288,24 +332,25 @@ def parse_relation(text: str, states) -> StateRelation:
     """Parse a relation file: one ``U V`` name pair per line; ``#`` starts a
     comment that runs to the end of the line.
 
-    ``states`` is anything with ``state_count`` and ``state_id`` (an
-    :class:`Lts` or a tree automaton).  A malformed line raises
-    :class:`LtsParseError`; an unknown name re-raises the ``state_id`` error
-    with the line number prefixed.
+    ``states`` is anything with ``state_count``, ``state_names`` and
+    ``state_id`` (an :class:`Lts` or a tree automaton).  A malformed line
+    raises :class:`LtsParseError`; an unknown name re-raises the
+    ``state_id`` error with the line number prefixed.
     """
+    lines = text.splitlines()
+    body = "\n".join(lines)
+    ids = {name: i for i, name in enumerate(states.state_names)}
+    tokens = _tokens(body)
+    pairs = np.fromiter(map(ids.get, tokens, repeat(-1)), dtype=np.int64, count=len(tokens))
+    if _RELATION_BAD_LINE.search(body) or (pairs < 0).any():
+        for lineno, line_tokens in _token_lines(lines, 2):
+            try:
+                for tok in line_tokens:
+                    states.state_id(tok)
+            except ValueError as exc:
+                raise type(exc)(f"line {lineno}: {exc}") from None
     rel = StateRelation.empty(states.state_count)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        if len(tokens) != 2:
-            raise LtsParseError(lineno, f"expected 2 tokens, got {len(tokens)}")
-        try:
-            u = states.state_id(tokens[0])
-            v = states.state_id(tokens[1])
-        except ValueError as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
-        rel.add(u, v)
+    rel.matrix[pairs[0::2], pairs[1::2]] = True
     return rel
 
 
@@ -316,5 +361,16 @@ def serialize_relation(rel: StateRelation, states) -> str:
     automaton).
     """
     names = states.state_names
-    lines = sorted(f"{names[u]} {names[v]}" for u, v in rel.pairs())
-    return "\n".join(lines) + "\n" if lines else ""
+    if any(" " in name for name in names):
+        lines = sorted(f"{names[u]} {names[v]}" for u, v in rel.pairs())
+        return "\n".join(lines) + "\n" if lines else ""
+    # without spaces in names, the lines sort as (U + " ", V) do: rank the
+    # rows by that key and the columns by name, and read the permuted
+    # matrix row-major
+    rows = sorted(range(len(names)), key=lambda i: names[i] + " ")
+    cols = sorted(range(len(names)), key=names.__getitem__)
+    u, v = np.nonzero(np.take(rel.matrix[rows], cols, axis=1))
+    words = np.empty(2 * len(u), dtype=object)
+    words[0::2] = np.array([names[i] + " " for i in rows], dtype=object)[u]
+    words[1::2] = np.array([names[i] + "\n" for i in cols], dtype=object)[v]
+    return "".join(words.tolist())

@@ -227,19 +227,18 @@ def parse_timbuk(text: str) -> TreeAutomaton:
     _, _ = take()  # automaton name, unused beyond syntax
 
     expect("States")
-    state_names: list[str] = []
+    state_ids: dict[str, int] = {}
     while peek() is not None and peek() != "Final":
         tok, line = take()
         if not IDENTIFIER_RE.match(tok):
             raise TimbukParseError(line, f"invalid state name {tok!r}")
-        if tok in state_names:
+        if tok in state_ids:
             raise TimbukParseError(line, f"duplicate state {tok!r}")
-        state_names.append(tok)
+        state_ids[tok] = len(state_ids)
     if peek() is None:
         raise TimbukParseError(tokens[-1][1], "missing Final States section")
     expect("Final")
     expect("States")
-    state_ids = {s: i for i, s in enumerate(state_names)}
     finals: list[int] = []
     while peek() is not None and peek() != "Transitions":
         tok, line = take()
@@ -283,7 +282,7 @@ def parse_timbuk(text: str) -> TreeAutomaton:
         rules.append((tuple(lhs), sym, state_ids[tgt_tok]))
 
     return TreeAutomaton(
-        state_names, symbol_names, [ranks[s] for s in symbol_names], rules, finals
+        list(state_ids), symbol_names, [ranks[s] for s in symbol_names], rules, finals
     )
 
 
@@ -325,10 +324,10 @@ def lhs_and_envs(ta: TreeAutomaton):
     for lhs, sym, tgt in ta.rules:
         lhs_set.add(lhs)
         for i in range(len(lhs)):
-            env_set.add(
-                Environment(symbol=sym, hole=i, others=lhs[:i] + lhs[i + 1 :], target=tgt)
-            )
-    return tuple(sorted(lhs_set, key=lambda l: (len(l), l))), tuple(sorted(env_set))
+            env_set.add((sym, i, lhs[:i] + lhs[i + 1 :], tgt))
+    # field tuples sort as the dataclasses would, without Python-level compares
+    envs = tuple(Environment(*fields) for fields in sorted(env_set))
+    return tuple(sorted(lhs_set, key=lambda l: (len(l), l))), envs
 
 
 @dataclass
@@ -399,7 +398,7 @@ def upward_translation(ta: TreeAutomaton, d: StateRelation) -> TranslationResult
         raise TreeError("downward relation must be reflexive")
 
     _, envs = lhs_and_envs(ta)
-    env_ids = {e: i for i, e in enumerate(envs)}
+    env_ids = {(e.symbol, e.hole, e.others, e.target): i for i, e in enumerate(envs)}
     nq = ta.state_count
     rmax = ta.max_rank
 
@@ -410,8 +409,7 @@ def upward_translation(ta: TreeAutomaton, d: StateRelation) -> TranslationResult
     triples = set()
     for lhs, sym, tgt in ta.rules:
         for i, qi in enumerate(lhs):
-            env = Environment(symbol=sym, hole=i, others=lhs[:i] + lhs[i + 1 :], target=tgt)
-            enode = nq + env_ids[env]
+            enode = nq + env_ids[sym, i, lhs[:i] + lhs[i + 1 :], tgt]
             triples.add((qi, m + i, enode))
             triples.add((enode, sym, tgt))
     lts = Lts.from_ids(state_names, symbol_names, list(triples))

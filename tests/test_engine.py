@@ -10,15 +10,18 @@ from simred import (
     PartitionRelationPair,
     StateRelation,
     coarsest_pair,
+    downward_simulation,
     engine_step,
     is_simulation,
     lrt,
     max_simulation_naive,
     olrt,
     run_engine,
+    upward_translation,
 )
 from simred.engine import _Adjacency
-from simred.generate import random_lts, random_preorder
+from simred.generate import random_lts, random_preorder, random_ta
+from simred.partition import closure_pair
 
 LRT_FLAGS = dict(out_init=False, restrict_to_in=False, restrict_remove=False)
 
@@ -263,6 +266,112 @@ def test_counter_pin_loop_shaped_input():
         pairs.append(pair)
     assert pairs[0] == pairs[1]
     assert pairs[0].block_count == 297
+
+
+def _clone_start(k=120, clones=3, seed=3):
+    """A minimize-shaped start: each kernel state of a random LTS cloned,
+    one in ten clone edges redirected at random, and the initial pair the
+    closure of a cycle through each clone class plus a few cross pairs."""
+    kernel = random_lts(k, 8, n_edges=4 * k, sparsity=0.25, seed=seed)
+    rng = np.random.default_rng(seed)
+    n = k * clones
+    triples = [
+        (
+            u * clones + j,
+            a,
+            int(rng.integers(n)) if rng.random() < 0.1 else w * clones + int(rng.integers(clones)),
+        )
+        for u, a, w in kernel.transitions()
+        for j in range(clones)
+    ]
+    lts = Lts.from_ids([f"s{i}" for i in range(n)], kernel.symbol_names, triples)
+    gen = StateRelation.empty(n)
+    for u in range(k):
+        for j in range(clones):
+            gen.add(u * clones + j, u * clones + (j + 1) % clones)
+    out = kernel.out_mask
+    below = ~(out[:, None, :] & ~out[None, :, :]).any(axis=2)
+    for u, v in np.argwhere(below & (rng.random((k, k)) < 0.05)):
+        gen.add(u * clones, v * clones + 1)
+    return lts, closure_pair(gen)
+
+
+def _upward_start():
+    ta = random_ta(100, 6, 3, 1000, seed=0)
+    tr = upward_translation(ta, downward_simulation(ta))
+    return tr.lts, tr.initial
+
+
+@pytest.mark.parametrize(
+    "start, blocks, pins, final",
+    [
+        (_clone_start, 120, [(68310, 74063, 1056, 222, 159), (984960, 876763, 2875, 222, 0)], 342),
+        (
+            _upward_start,
+            812,
+            [(235910, 229430, 1993, 589, 78), (17740944, 15597356, 11610, 592, 0)],
+            1404,
+        ),
+    ],
+    ids=["clone-closure", "upward-ta"],
+)
+def test_counter_pin_multi_block_start(start, blocks, pins, final):
+    # starts with hundreds of initial blocks: the counter initialization
+    # activates them in ascending order, and any other order moves these
+    lts, init = start()
+    assert init.block_count == blocks
+    pairs = []
+    for flags, expected in zip(({}, LRT_FLAGS), pins):
+        pair, m = run_engine(lts, init, **flags)
+        assert (
+            m.counters_allocated, m.remove_enqueued, m.iterations, m.splits,
+            m.skipped_iterations,
+        ) == expected
+        pairs.append(pair)
+    assert pairs[0] == pairs[1]
+    assert pairs[0].block_count == final
+
+
+def test_initial_counters_match_definition():
+    # over 255 transitions per symbol with uint8 counters, so the prefix
+    # sums of the counter initialization wrap
+    lts = random_lts(60, 2, n_edges=700, seed=4)
+    init = coarsest_pair(random_preorder(60, edge_prob=0.05, seed=4))
+    for flags in ({}, LRT_FLAGS):
+        state = EngineState(lts, init, **flags)
+        assert state._cnt.dtype == np.uint8
+        assert min(len(lts.succ_data[a]) for a in range(2)) > 255
+        enqueued = 0
+        for b in range(state._nb):
+            above = [bool(state._rel[b, c]) for c in state._block_of.tolist()]
+            for a in np.flatnonzero(state._off[b] >= 0).tolist():
+                expected = [
+                    sum(above[w] for w in lts.successors(u, a).tolist())
+                    for u in state._adj.slot_state[a].tolist()
+                ]
+                seg = state._segment(b, a)
+                assert state._cnt[seg].tolist() == expected
+                assert state._rmv[seg].tolist() == [c == 0 for c in expected]
+                assert (a in state._pending[b]) == (0 in expected)
+                enqueued += expected.count(0)
+        assert state.metrics.remove_enqueued == enqueued
+        assert state._stack == [b for b in range(state._nb) if state._pending[b]]
+
+
+@pytest.mark.parametrize("few_states", [0, 10**9], ids=["row-index", "slices"])
+def test_chunked_init_and_either_predecessor_gather_agree(monkeypatch, few_states):
+    # one block per initialization chunk, and every block on one side of the
+    # predecessor-gather threshold: same pair, same counters
+    import simred.engine
+
+    lts, init = _clone_start()
+    expected = [run_engine(lts, init, **flags) for flags in ({}, LRT_FLAGS)]
+    monkeypatch.setattr(simred.engine, "_GATHER_CELLS", 1)
+    monkeypatch.setattr(simred.engine, "_FEW_STATES", few_states)
+    for flags, (pair, metrics) in zip(({}, LRT_FLAGS), expected):
+        got, got_metrics = run_engine(lts, init, **flags)
+        assert got == pair
+        assert replace(got_metrics, wall_time_ms=0) == replace(metrics, wall_time_ms=0)
 
 
 def test_validate_coarsest_once_per_run(l3, monkeypatch):

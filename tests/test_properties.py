@@ -1,8 +1,9 @@
 """Property tests of the array-backed Lts, the canonical partition-relation
-pair, the closure of generator pairs, the out-preorder refinement and the
-engine configurations."""
+pair, the closure of generator pairs, the out-preorder refinement, the
+engine configurations and the text formats."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,17 +13,21 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from simred import (  # noqa: E402
     Lts,
+    LtsParseError,
     PartitionRelationPair,
     StateRelation,
     coarsest_pair,
     max_simulation_naive,
     out_preorder,
     parse_lts,
+    parse_relation,
     quotient,
     refine_by_out,
     run_engine,
     serialize_lts,
+    serialize_relation,
 )
+from simred.lts import IDENTIFIER_RE, build_lts  # noqa: E402
 from simred.partition import closure_pair  # noqa: E402
 
 small = settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -179,3 +184,115 @@ def test_closure_pair_is_coarsest_pair_of_dense_closure(case):
     closed = StateRelation(dense_closure(n, pairs))
     assert closure_pair(rel) == coarsest_pair(closed)
     assert rel.reflexive_transitive_closure() == closed
+
+
+# -- text formats against line-by-line references ------------------------------
+
+
+def reference_parse_lts(text):
+    transitions = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if len(tokens) != 3:
+            raise LtsParseError(lineno, f"expected 3 tokens, got {len(tokens)}")
+        for tok in tokens:
+            if not IDENTIFIER_RE.match(tok):
+                raise LtsParseError(lineno, f"invalid identifier {tok!r}")
+        transitions.append(tuple(tokens))
+    if not transitions:
+        raise LtsParseError(1, "empty system: no transitions")
+    return build_lts(transitions)
+
+
+def reference_parse_relation(text, states):
+    rel = StateRelation.empty(states.state_count)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if len(tokens) != 2:
+            raise LtsParseError(lineno, f"expected 2 tokens, got {len(tokens)}")
+        try:
+            u = states.state_id(tokens[0])
+            v = states.state_id(tokens[1])
+        except ValueError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
+        rel.add(u, v)
+    return rel
+
+
+def outcome(fn, *args):
+    """The result, or the error's class, line and message."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+
+
+# where str.splitlines, str.split and a regex \s could disagree
+TOKENS = ["p", "q", "r", "s0", "x.1", "a-b", "_"] * 3 + ["a*", "\xe9", "p#q", "\x00"]
+SEPARATORS = [" ", "\t", "  ", "\x1f", "\xa0", "\u3000"]
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+COMMENTS = ["", "", "#", "# note", "#x y z", " # p q r"]
+RELATION_STATES = Lts.from_ids(["p", "q", "r", "s0", "x.1"], ["a"], [])
+
+
+@st.composite
+def texts(draw, count):
+    pick = st.sampled_from
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        tokens = draw(st.lists(pick(TOKENS), min_size=count + 1, max_size=count + 1))
+        tokens = tokens[: draw(pick([0, count - 1, count, count, count, count + 1]))]
+        body = "".join(tok + draw(pick(SEPARATORS)) for tok in tokens)
+        line = draw(pick(["", " ", "\t", "\xa0"])) + body + draw(pick(COMMENTS))
+        lines.append(line + draw(pick(BREAKS)))
+    text = "".join(lines)
+    if text and draw(st.booleans()):
+        text = text[: -len(draw(pick([b for b in BREAKS if text.endswith(b)])))]
+    return text
+
+
+texts_settings = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+
+
+@texts_settings
+@given(texts(3))
+@example("p a q\r\nq b p")  # no final newline
+@example("p a q\x1cq\x85b\x1fp\n")
+@example("p\xa0a\u3000q # c\x1dq b r\n")
+@example("\n\n# only comments\n  \t\n")
+@example("p a q\np a# q\n")
+def test_parse_lts_matches_line_reference(text):
+    assert outcome(parse_lts, text) == outcome(reference_parse_lts, text)
+
+
+@texts_settings
+@given(texts(2))
+@example("p q\r\nr x.1")
+@example("p q\x0bzz r\n")  # an unknown name after a break splitlines sees
+@example("p q r # three\np zz\n")
+def test_parse_relation_matches_line_reference(text):
+    expected = outcome(reference_parse_relation, text, RELATION_STATES)
+    assert outcome(parse_relation, text, RELATION_STATES) == expected
+
+
+@small
+@given(
+    st.lists(st.text("ab !~\t\xe9", min_size=1, max_size=3), min_size=1, max_size=6, unique=True),
+    st.data(),
+)
+@example(["a", "a!", "a b", "ab"], None)  # a space orders "a b ..." before "a! ..."
+@example(["a", "a\t"], None)  # "a\t a" sorts before "a a"
+def test_serialize_relation_matches_sorted_lines(names, data):
+    n = len(names)
+    if data is None:
+        bits = [True] * (n * n)
+    else:
+        bits = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    rel = StateRelation(np.array(bits, dtype=bool).reshape(n, n))
+    lines = sorted(f"{names[u]} {names[v]}" for u, v in rel.pairs())
+    expected = "\n".join(lines) + "\n" if lines else ""
+    assert serialize_relation(rel, SimpleNamespace(state_names=tuple(names))) == expected
