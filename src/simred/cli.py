@@ -4,21 +4,19 @@ Exit codes: 0 success, 2 parse error (including input that is not UTF-8),
 3 semantic input error or a file that cannot be read or written, 4 bad
 parameters.  Relation/structure output goes to stdout (or --output);
 metrics go to a separate file so the main output stays pipe-clean.
+
+Each command imports the modules it needs when it runs: an LTS command
+never loads the tree-automaton, oracle or generator code, and ``gen`` loads
+no engine.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 
 import numpy as np
 
-from . import generate as _generate
-from . import oracle as _oracle
-from . import tree as _tree
-from .engine import ENGINES
 from .lts import (
     IDENTIFIER_RE,
     Lts,
@@ -32,7 +30,6 @@ from .lts import (
 )
 from .partition import PartitionRelationPair, closure_pair, coarsest_pair
 from .relation import RelationError, StateRelation
-from .tree import TimbukParseError, TreeError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -126,9 +123,13 @@ def _run_lts_algorithm(lts: Lts, args):
     """Returns (coarsest pair of the maximal simulation, metrics dict)."""
     initial = _initial_pair(lts, args)
     if args.algo == "oracle":
-        result = _oracle.max_simulation_naive(lts, initial.induced_relation())
+        from .oracle import max_simulation_naive
+
+        result = max_simulation_naive(lts, initial.induced_relation())
         pair = coarsest_pair(result.relation)
         return pair, {"algorithm": "oracle", "rounds": result.rounds}
+    from .engine import ENGINES
+
     pair, metrics = ENGINES[args.algo](lts, initial)
     entries = {"algorithm": args.algo, **metrics.as_dict()}
     entries["final_blocks"] = pair.block_count
@@ -151,18 +152,24 @@ def _cmd_sim_lts(args) -> int:
     return EXIT_OK
 
 
-def _load_ta(path: str, text: str) -> _tree.TreeAutomaton:
+def _load_ta(path: str, text: str):
     """Parse ``text``, read from ``path``, mapping parse errors to exit 2."""
+    from .tree import TreeError, parse_timbuk
+
     try:
-        return _tree.parse_timbuk(text)
+        return parse_timbuk(text)
     except TreeError as exc:
         raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
 
 
 def _downward_for(ta, algo: str) -> StateRelation:
     if algo == "oracle":
-        return _oracle.downward_naive(ta)
-    return _tree.downward_simulation(ta, algorithm=algo)
+        from .oracle import downward_naive
+
+        return downward_naive(ta)
+    from .tree import downward_simulation
+
+    return downward_simulation(ta, algorithm=algo)
 
 
 def _cmd_ta_down(args) -> int:
@@ -207,9 +214,13 @@ def _cmd_ta_up(args) -> int:
     else:
         d = _downward_for(ta, args.algo)
     if args.algo == "oracle":
-        rel = _oracle.upward_naive(ta, d)
+        from .oracle import upward_naive
+
+        rel = upward_naive(ta, d)
     else:
-        rel = _tree.upward_simulation(ta, d, algorithm=args.algo)
+        from .tree import upward_simulation
+
+        rel = upward_simulation(ta, d, algorithm=args.algo)
     _emit(serialize_relation(rel, ta), args.output)
     return EXIT_OK
 
@@ -230,14 +241,16 @@ def _sniff_is_ta(text: str) -> bool:
 def _cmd_minimize(args) -> int:
     text = _read(args.input)
     if _sniff_is_ta(text):
+        from .tree import serialize_timbuk, ta_quotient
+
         if args.init is not None or args.closure:
             raise _CliError(EXIT_PARAMS, "--init/--closure apply to LTS input only")
         ta = _load_ta(args.input, text)
         d = _downward_for(ta, args.algo)
         blocks = coarsest_pair(d).blocks
-        reduced = _tree.ta_quotient(ta, blocks)
+        reduced = ta_quotient(ta, blocks)
         before, after = ta.state_count, reduced.state_count
-        _emit(_tree.serialize_timbuk(reduced), args.output)
+        _emit(serialize_timbuk(reduced), args.output)
     else:
         lts = _load_lts(args.input, text)
         pair, _ = _run_lts_algorithm(lts, args)
@@ -254,9 +267,12 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generate import random_lts, random_ta
+    from .tree import serialize_timbuk
+
     try:
         if args.kind == "lts":
-            lts = _generate.random_lts(
+            lts = random_lts(
                 args.states,
                 args.symbols,
                 edge_prob=None if args.edges is not None else args.edge_prob,
@@ -266,7 +282,7 @@ def _cmd_gen(args) -> int:
             )
             _emit(serialize_lts(lts), args.output)
         else:
-            ta = _generate.random_ta(
+            ta = random_ta(
                 args.states,
                 args.symbols,
                 args.max_rank,
@@ -274,13 +290,19 @@ def _cmd_gen(args) -> int:
                 final_prob=args.final_prob,
                 seed=args.seed,
             )
-            _emit(_tree.serialize_timbuk(ta), args.output)
+            _emit(serialize_timbuk(ta), args.output)
     except ValueError as exc:
         raise _CliError(EXIT_PARAMS, str(exc)) from exc
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
+    import csv
+    import io
+
+    from .engine import ENGINES
+    from .generate import random_lts
+
     try:
         symbol_counts = [int(tok) for tok in args.symbols.split(",") if tok]
     except ValueError as exc:
@@ -310,7 +332,7 @@ def _cmd_bench(args) -> int:
     )
     for m in symbol_counts:
         try:
-            lts = _generate.random_lts(
+            lts = random_lts(
                 args.states,
                 m,
                 n_edges=args.edges,
@@ -413,6 +435,13 @@ _COMMANDS = {
 }
 
 
+def _tree_errors(name: str) -> tuple:
+    """The tree module's exception class ``name``, or nothing when no
+    command has loaded that module: then none of its errors can arise."""
+    tree = sys.modules.get(f"{__package__}.tree")
+    return () if tree is None else (getattr(tree, name),)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -421,10 +450,10 @@ def main(argv=None) -> int:
     except _CliError as exc:
         sys.stderr.write(f"simred: {exc}\n")
         return exc.code
-    except (LtsParseError, TimbukParseError) as exc:
+    except (LtsParseError, *_tree_errors("TimbukParseError")) as exc:
         sys.stderr.write(f"simred: {exc}\n")
         return EXIT_PARSE
-    except (LtsError, TreeError, RelationError) as exc:
+    except (LtsError, RelationError, *_tree_errors("TreeError")) as exc:
         sys.stderr.write(f"simred: {exc}\n")
         return EXIT_SEMANTIC
 

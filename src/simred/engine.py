@@ -252,7 +252,7 @@ class EngineState:
         bids, syms = zeros.nonzero()
         for bid, a in zip(bids.tolist(), syms.tolist()):
             self._pending[bid].add(a)
-        self._stack: list[int] = np.unique(bids).tolist()
+        self._stack: list[int] = np.flatnonzero(zeros.any(axis=1)).tolist()
         self.metrics.counters_allocated = self._cells
         if audit:
             self.audit_state()

@@ -107,9 +107,13 @@ class Lts:
             kind = "state" if bad_state[i] else "symbol"
             raise LtsError(f"{kind} id out of range in transition ({u[i]},{a[i]},{w[i]})")
 
-        # sorting key (symbol, src, dst); np.unique sorts and deduplicates
+        # sorting key (symbol, src, dst), sorted and deduplicated by hand:
+        # np.unique would import all of numpy.ma on its first call
         nn = max(n, 1)
-        sym, rest = np.divmod(np.unique((a * nn + u) * nn + w), nn * nn)
+        key = np.sort((a * nn + u) * nn + w)
+        fresh = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        sym, rest = np.divmod(key[fresh], nn * nn)
         src, dst = np.divmod(rest, nn)
         self.src, self.sym, self.dst = _frozen(src), _frozen(sym), _frozen(dst)
 

@@ -24,6 +24,8 @@ __all__ = [
     "validate_coarsest",
 ]
 
+_PRODUCT_CELLS = 1 << 24  # float32 cells (64 MB) in one row chunk of the product
+
 
 class PartitionError(ValueError):
     pass
@@ -230,6 +232,51 @@ def closure_pair(rel: StateRelation) -> PartitionRelationPair:
     return PartitionRelationPair.from_labels(comp, closed.view(bool))
 
 
+def _run(ids: np.ndarray):
+    """Ascending ids as a slice when they are consecutive: indexing by it
+    makes a view, not a gathered copy."""
+    return slice(ids[0], ids[-1] + 1) if ids[-1] - ids[0] == len(ids) - 1 else ids
+
+
+def transitivity_witness(m: np.ndarray):
+    """The first (u, v, w), in row-major order of (u, w), with ``m[u, v]``
+    and ``m[v, w]`` but not ``m[u, w]``; None if ``m`` is transitive.
+
+    In a violation v differs from u and from w, so v is a middle: an id
+    with a strict predecessor and a strict successor.  The boolean product
+    runs only through the middles, over the rows that reach one and the
+    columns one reaches, a chunk of rows at a time, and stops at the first
+    chunk that holds a violation.
+    """
+    strict = m.copy()
+    np.fill_diagonal(strict, False)
+    middle = strict.any(axis=0) & strict.any(axis=1)
+    mid = np.flatnonzero(middle)
+    if not mid.size:
+        return None
+    # float32 products hit BLAS; integer ones do not.  A middle's own
+    # diagonal entry is no strict step, so it comes off each count
+    f = m.astype(np.float32)
+    weight = middle.astype(np.float32)
+    loops = weight * f.diagonal()
+    rows = np.flatnonzero(f @ weight - loops > 0.5)
+    cols = np.flatnonzero(weight @ f - loops > 0.5)
+    # paths through the diagonal only reach pairs of m, so m composes as
+    # well as strict does
+    through, into = _run(mid), _run(cols)
+    after = f[through][:, into]
+    step = max(1, _PRODUCT_CELLS // len(cols))
+    for lo in range(0, len(rows), step):
+        chunk = rows[lo : lo + step]
+        at = _run(chunk)
+        bad = ((f[at][:, through] @ after) > 0.5) & ~m[at][:, into]
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            u, w = int(chunk[i]), int(cols[j])
+            return u, int(np.flatnonzero(m[u] & m[:, w])[0]), w
+    return None
+
+
 def validate_coarsest(pair: PartitionRelationPair) -> None:
     """Require that ``pair`` is the coarsest pair of some preorder.
 
@@ -237,19 +284,21 @@ def validate_coarsest(pair: PartitionRelationPair) -> None:
     antisymmetric (a mutual pair of distinct blocks would be mergeable).
     """
     rel = pair.rel
-    k = pair.block_count
     diag = rel.diagonal()
     if not diag.all():
         b = int(np.flatnonzero(~diag)[0])
         raise PartitionError(f"block relation not reflexive: block {b}")
-    f = rel.astype(np.float32)
-    nontrans = ((f @ f) > 0.5) & ~rel
-    if nontrans.any():
-        b, c = (int(x) for x in np.argwhere(nontrans)[0])
+    witness = transitivity_witness(rel)
+    if witness is not None:
+        b, _, c = witness
         raise PartitionError(f"block relation not transitive at ({b},{c})")
-    mutual = rel & rel.T & ~np.eye(k, dtype=bool)
-    if mutual.any():
-        b, c = (int(x) for x in np.argwhere(mutual)[0])
+    # in a preorder two blocks are mutually related iff their rows are
+    # equal; the first such pair, row-major, is the least block with a
+    # twin row and the least of its twins
+    reps, row_class = _row_classes(np.packbits(rel, axis=1))
+    if len(reps) < len(rel):
+        b = int(np.flatnonzero(np.bincount(row_class)[row_class] > 1)[0])
+        c = int(np.flatnonzero(row_class == row_class[b])[1])
         raise PartitionError(
             f"pair is not coarsest: blocks {b} and {c} are mutually related"
         )

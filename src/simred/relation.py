@@ -104,11 +104,6 @@ class StateRelation:
 
     # -- preorder machinery -------------------------------------------------
 
-    def _compose_bool(self) -> np.ndarray:
-        # float32 matmul hits BLAS; integer matmul does not.
-        m = self.matrix.astype(np.float32)
-        return (m @ m) > 0.5
-
     def preorder_violation(self):
         """Return None if the relation is a preorder, else a human-readable witness."""
         m = self.matrix
@@ -118,11 +113,11 @@ class StateRelation:
             return f"not reflexive: pair ({u},{u}) missing"
         if m.all():
             return None
-        comp = self._compose_bool()
-        bad = comp & ~m
-        if bad.any():
-            u, w = (int(x) for x in np.argwhere(bad)[0])
-            v = int(np.flatnonzero(m[u] & m[:, w])[0])
+        from .partition import transitivity_witness  # partition imports this module
+
+        witness = transitivity_witness(m)
+        if witness is not None:
+            u, v, w = witness
             return (
                 f"not transitive: ({u},{v}) and ({v},{w}) present "
                 f"but ({u},{w}) missing"

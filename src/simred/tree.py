@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ENGINES
 from .lts import IDENTIFIER_RE, Lts
 from .partition import PartitionError, PartitionRelationPair, _row_classes
 from .relation import StateRelation
@@ -458,6 +457,8 @@ def upward_translation(ta: TreeAutomaton, d: StateRelation) -> TranslationResult
 
 def _run_translated(tr: TranslationResult, nq: int, algorithm: str) -> StateRelation:
     """The engine's maximal simulation, restricted to the automaton states."""
+    from .engine import ENGINES  # parsing and translating need no engine
+
     if algorithm not in ENGINES:
         raise TreeError(f"unknown algorithm {algorithm!r}")
     pair, _ = ENGINES[algorithm](tr.lts, tr.initial)

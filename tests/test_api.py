@@ -60,3 +60,7 @@ def test_public_names_are_pinned():
 def test_public_names_resolve():
     for name in simred.__all__:
         assert getattr(simred, name, None) is not None, name
+
+
+def test_dir_lists_every_public_name():
+    assert set(PUBLIC) <= set(dir(simred))

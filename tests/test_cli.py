@@ -186,6 +186,24 @@ def test_ta_parse_error_exit_2(tmp_path, capsys):
     assert "arity mismatch" in err
 
 
+@pytest.mark.parametrize(
+    "error, error_args, code", [("TimbukParseError", (1, "bad"), 2), ("TreeError", ("bad",), 3)]
+)
+def test_tree_errors_escaping_a_command_map_to_exit_codes(
+    monkeypatch, capsys, error, error_args, code
+):
+    # main names the tree errors only once a command has loaded simred.tree
+    import simred.tree
+
+    def failing(args):
+        raise getattr(simred.tree, error)(*error_args)
+
+    monkeypatch.setitem(cli._COMMANDS, "ta-down", failing)
+    got, _, err = run(["ta-down", "unused"], capsys)
+    assert got == code
+    assert err.startswith("simred: ") and "bad" in err
+
+
 def test_minimize_lts(tmp_path, capsys):
     lts = write(tmp_path / "l1.lts", L1_TEXT)
     code, out, err = run(["minimize", lts], capsys)

@@ -1,6 +1,7 @@
 """Property tests of the array-backed Lts, the canonical partition-relation
-pair, the closure of generator pairs, the out-preorder refinement, the
-engine configurations and the text formats."""
+pair, the closure of generator pairs, the transitivity check, the
+out-preorder refinement, the engine configurations, metamorphic relations
+of both engines and the text formats."""
 
 import itertools
 from types import SimpleNamespace
@@ -14,10 +15,13 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from simred import (  # noqa: E402
     Lts,
     LtsParseError,
+    PartitionError,
     PartitionRelationPair,
     StateRelation,
     coarsest_pair,
+    lrt,
     max_simulation_naive,
+    olrt,
     out_preorder,
     parse_lts,
     parse_relation,
@@ -26,9 +30,11 @@ from simred import (  # noqa: E402
     run_engine,
     serialize_lts,
     serialize_relation,
+    validate_coarsest,
 )
 from simred.lts import IDENTIFIER_RE, build_lts  # noqa: E402
 from simred.partition import closure_pair  # noqa: E402
+from simred.partition import transitivity_witness  # noqa: E402
 
 small = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
@@ -149,6 +155,99 @@ def test_every_engine_configuration_matches_the_oracle(case):
             restrict_remove=restrict_remove, audit=True,
         )
         assert pair == expected
+
+
+# -- metamorphic relations: each engine against itself ---------------------------
+
+
+@small
+@given(lts_and_preorder(), st.randoms(use_true_random=False))
+def test_renaming_states_only_renames_the_pair(case, rnd):
+    lts, init = case
+    n = lts.state_count
+    new_id = np.array(rnd.sample(range(n), n), dtype=np.int64)  # state u becomes new_id[u]
+    old_id = np.argsort(new_id)
+    renamed = Lts.from_ids(
+        [lts.state_names[u] for u in old_id.tolist()],
+        lts.symbol_names,
+        np.column_stack([new_id[lts.src], lts.sym, new_id[lts.dst]]),
+    )
+    renamed_init = StateRelation(init.matrix[np.ix_(old_id, old_id)])
+    for engine in (olrt, lrt):
+        pair, _ = engine(lts, coarsest_pair(init))
+        got, _ = engine(renamed, coarsest_pair(renamed_init))
+        assert got == PartitionRelationPair.from_labels(pair.block_of[old_id], pair.rel)
+
+
+@small
+@given(lts_and_preorder(), st.data())
+def test_a_symbol_without_transitions_leaves_the_pair_unchanged(case, data):
+    lts, init = case
+    j = data.draw(st.integers(0, lts.symbol_count), label="position of the new symbol")
+    symbols = list(lts.symbol_names)
+    symbols.insert(j, "unused")
+    wider = Lts.from_ids(
+        lts.state_names, symbols, np.column_stack([lts.src, lts.sym + (lts.sym >= j), lts.dst])
+    )
+    for engine in (olrt, lrt):
+        assert engine(wider, coarsest_pair(init))[0] == engine(lts, coarsest_pair(init))[0]
+
+
+# -- transitivity check against the full product -------------------------------
+
+
+@small
+@given(st.integers(0, 9).flatmap(
+    lambda n: st.lists(st.booleans(), min_size=n * n, max_size=n * n).map(
+        lambda bits: np.array(bits, dtype=bool).reshape(n, n)
+    )
+))
+@example(np.triu(np.ones((6, 6), dtype=bool)))  # a chain: every inner state a middle
+@example(np.array([[0, 1], [1, 0]], dtype=bool))  # irreflexive: (0,1,0) violates
+@pytest.mark.parametrize("chunk_cells", [1, 1 << 24], ids=["row-chunks", "one-chunk"])
+def test_transitivity_witness_is_the_first_of_the_full_product(chunk_cells, m):
+    f = m.astype(np.int64)
+    bad = np.argwhere(((f @ f) > 0) & ~m)
+    expected = None
+    if len(bad):
+        u, w = bad[0].tolist()
+        expected = (u, int(np.flatnonzero(m[u] & m[:, w])[0]), w)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("simred.partition._PRODUCT_CELLS", chunk_cells)
+        assert transitivity_witness(m) == expected
+
+
+def reference_validate_message(rel):
+    """validate_coarsest's message for a reflexive block relation, from the
+    dense product and the dense mutual-pair mask."""
+    f = rel.astype(np.int64)
+    nontrans = np.argwhere(((f @ f) > 0) & ~rel)
+    if len(nontrans):
+        return "block relation not transitive at (%d,%d)" % tuple(nontrans[0])
+    mutual = np.argwhere(rel & rel.T & ~np.eye(len(rel), dtype=bool))
+    if len(mutual):
+        return "pair is not coarsest: blocks %d and %d are mutually related" % tuple(mutual[0])
+    return None
+
+
+@small
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.booleans(), min_size=n * n, max_size=n * n).map(
+            lambda bits: np.array(bits, dtype=bool).reshape(n, n)
+        )
+    ),
+    st.booleans(),
+)
+def test_validate_coarsest_reports_the_first_dense_violation(m, closed):
+    # the closure is transitive, so only the mutual-pair check can fail it
+    rel = StateRelation(m).reflexive_transitive_closure().matrix if closed else m | np.eye(len(m), dtype=bool)
+    try:
+        validate_coarsest(PartitionRelationPair.from_labels(np.arange(len(rel)), rel))
+        got = None
+    except PartitionError as exc:
+        got = str(exc)
+    assert got == reference_validate_message(rel)
 
 
 def dense_closure(n, pairs):
