@@ -108,7 +108,7 @@ def _write_metrics(path: str | None, entries: dict) -> None:
 def _blocks_text(pair: PartitionRelationPair, names) -> str:
     """One line per block, blocks and members ordered by name; each line
     lists the positions of the blocks above it."""
-    members = [sorted(names[v] for v in block) for block in pair.blocks]
+    members = [sorted(names[v] for v in m.tolist()) for m in pair.members]
     order = sorted(range(pair.block_count), key=lambda b: members[b][0])
     position = np.empty(pair.block_count, dtype=np.int64)
     position[order] = np.arange(pair.block_count)
@@ -162,65 +162,55 @@ def _load_ta(path: str, text: str):
         raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
 
 
-def _downward_for(ta, algo: str) -> StateRelation:
+def _downward_for(ta, algo: str, initial=None) -> PartitionRelationPair:
+    """Coarsest pair of the maximal downward simulation inside ``initial``
+    (a pair over the automaton states; default: the full relation)."""
     if algo == "oracle":
         from .oracle import downward_naive
 
-        return downward_naive(ta)
+        init = None if initial is None else initial.induced_relation()
+        return coarsest_pair(downward_naive(ta, init))
     from .tree import downward_simulation
 
-    return downward_simulation(ta, algorithm=algo)
+    return downward_simulation(ta, algo, initial)
 
 
 def _cmd_ta_down(args) -> int:
     ta = _load_ta(args.input, _read(args.input))
-    rel = _downward_for(ta, args.algo)
-    _emit(serialize_relation(rel, ta), args.output)
+    pair = _downward_for(ta, args.algo)
+    _emit(serialize_relation(pair.induced_relation(), ta), args.output)
     return EXIT_OK
 
 
-def _is_downward_simulation(ta, rel: StateRelation) -> str | None:
-    """None if ``rel`` is a downward-simulation preorder, else the reason."""
-    violation = rel.preorder_violation()
-    if violation is not None:
-        return violation
-    by_target: dict[int, list] = {}
-    for lhs, sym, tgt in ta.rules:
-        by_target.setdefault(tgt, []).append((lhs, sym))
-    for q in range(ta.state_count):
-        for r in range(ta.state_count):
-            if not rel.has(q, r):
-                continue
-            for lhs, sym in by_target.get(q, ()):
-                ok = any(
-                    sym2 == sym and all(rel.has(a, b) for a, b in zip(lhs, lhs2))
-                    for lhs2, sym2 in by_target.get(r, ())
-                )
-                if not ok:
-                    names = ta.state_names
-                    return f"pair ({names[q]},{names[r]}) violates the downward condition"
-    return None
+def _given_downward(ta, path: str, algo: str) -> PartitionRelationPair:
+    """The pair of the --init relation D, accepted iff D is a preorder and
+    the maximal downward simulation inside D, computed by ``algo``, is D."""
+    d = _load_relation(path, ta)
+    try:
+        pair = coarsest_pair(d)
+    except RelationError as exc:
+        raise _CliError(EXIT_SEMANTIC, f"{path}: not a downward simulation: {exc}") from exc
+    inside = _downward_for(ta, algo, pair)
+    if inside != pair:
+        dropped = np.argwhere(d.matrix & ~inside.induced_relation().matrix)[0]
+        q, r = (ta.state_names[v] for v in dropped)
+        raise _CliError(EXIT_SEMANTIC, f"{path}: not a downward simulation: the maximal "
+                        f"downward simulation inside it drops ({q},{r})")
+    return pair
 
 
 def _cmd_ta_up(args) -> int:
     ta = _load_ta(args.input, _read(args.input))
-    if args.init is not None:
-        d = _load_relation(args.init, ta)
-        reason = _is_downward_simulation(ta, d)
-        if reason is not None:
-            raise _CliError(
-                EXIT_SEMANTIC, f"{args.init}: not a downward simulation: {reason}"
-            )
-    else:
-        d = _downward_for(ta, args.algo)
+    d = (_downward_for(ta, args.algo) if args.init is None
+         else _given_downward(ta, args.init, args.algo))
     if args.algo == "oracle":
         from .oracle import upward_naive
 
-        rel = upward_naive(ta, d)
+        rel = upward_naive(ta, d.induced_relation())
     else:
         from .tree import upward_simulation
 
-        rel = upward_simulation(ta, d, algorithm=args.algo)
+        rel = upward_simulation(ta, d, args.algo).induced_relation()
     _emit(serialize_relation(rel, ta), args.output)
     return EXIT_OK
 
@@ -246,9 +236,7 @@ def _cmd_minimize(args) -> int:
         if args.init is not None or args.closure:
             raise _CliError(EXIT_PARAMS, "--init/--closure apply to LTS input only")
         ta = _load_ta(args.input, text)
-        d = _downward_for(ta, args.algo)
-        blocks = coarsest_pair(d).blocks
-        reduced = ta_quotient(ta, blocks)
+        reduced = ta_quotient(ta, _downward_for(ta, args.algo))
         before, after = ta.state_count, reduced.state_count
         _emit(serialize_timbuk(reduced), args.output)
     else:

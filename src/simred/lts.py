@@ -256,7 +256,7 @@ def quotient(lts: Lts, pair) -> Lts:
     """
     if pair.state_count != lts.state_count:
         raise LtsError("partition does not cover this LTS's states")
-    block_names = [min(lts.state_names[v] for v in block) for block in pair.blocks]
+    block_names = [min(lts.state_names[v] for v in m.tolist()) for m in pair.members]
     triples = np.column_stack([pair.block_of[lts.src], lts.sym, pair.block_of[lts.dst]])
     return Lts.from_ids(block_names, lts.symbol_names, triples)
 

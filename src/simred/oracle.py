@@ -65,14 +65,17 @@ def max_simulation_naive(lts: Lts, init: StateRelation, reverse_sweep: bool = Fa
     return OracleResult(StateRelation(m), rounds)
 
 
-def downward_naive(ta) -> StateRelation:
-    """Maximal downward simulation on a tree automaton, by deletion to fixpoint.
+def downward_naive(ta, init: StateRelation | None = None) -> StateRelation:
+    """Maximal downward simulation on a tree automaton inside ``init``
+    (default: the full relation), by deletion to fixpoint from ``init``.
 
     (q,r) survives iff every rule with target q is matched by a rule with
     target r, the same symbol, and componentwise surviving left-hand sides.
     """
     nq = ta.state_count
-    m = StateRelation.full(nq).matrix
+    m = StateRelation.full(nq).matrix if init is None else init.matrix.copy()
+    if m.shape != (nq, nq):
+        raise ValueError("initial relation size does not match state count")
     by_target: dict[int, list] = {}
     for lhs, sym, tgt in ta.rules:
         by_target.setdefault(tgt, []).append((lhs, sym))

@@ -35,36 +35,28 @@ class PartitionRelationPair:
     """Blocks of dense state ids plus a boolean relation on block ids.
 
     ``block_of[v]`` is the block of state v, ``rel[b, c]`` relates blocks b
-    and c, and ``members[b]`` (an array) and ``blocks[b]`` (a tuple) list
-    block b's states ascending.  The pair is canonical: block b is the block
-    whose least member is the b-th smallest.  All arrays are read-only.
+    and c, and ``members[b]`` lists block b's states ascending (``blocks``
+    gives them as tuples, built on demand).  The pair is canonical: block b
+    is the block whose least member is the b-th smallest.  All arrays are
+    read-only.
     Build one from explicit blocks with the constructor or from a label per
     state with :meth:`from_labels`.
     """
 
-    __slots__ = ("block_of", "rel", "members", "blocks")
+    __slots__ = ("block_of", "rel", "members")
 
     def __init__(self, blocks, rel):
-        members = [np.sort(np.fromiter(block, dtype=np.int64)) for block in blocks]
-        if any(m.size == 0 for m in members):
-            raise PartitionError("empty block")
-        label = np.repeat(np.arange(len(members)), [m.size for m in members])
-        states = np.concatenate(members) if members else label
-        ids, first = np.unique(states, return_index=True)
-        if len(ids) < len(states):  # report the first repeat in block order
-            p = np.setdiff1d(np.arange(len(states)), first)[0]
-            q = first[np.searchsorted(ids, states[p])]
-            raise PartitionError(f"state {states[p]} occurs in blocks {label[q]} and {label[p]}")
-        if len(ids) and (ids[0] != 0 or ids[-1] != len(ids) - 1):
+        members = [np.fromiter(block, dtype=np.int64) for block in blocks]
+        states = np.concatenate(members) if members else np.zeros(0, dtype=np.int64)
+        n = len(states)
+        if ((states < 0) | (states >= n)).any():
             raise PartitionError("blocks must cover a dense id range starting at 0")
-        relm = np.array(rel, dtype=bool)
-        if relm.shape != (len(members), len(members)):
-            raise PartitionError(
-                f"relation shape {relm.shape} does not match {len(members)} blocks"
-            )
-        block_of = np.empty(len(ids), dtype=np.int64)
-        block_of[states] = label
-        self._assign(block_of, relm)
+        block_of = np.full(n, -1, dtype=np.int64)
+        block_of[states] = np.repeat(np.arange(len(members)), [m.size for m in members])
+        if (block_of < 0).any():  # n ids in range, so one is missing iff one repeats
+            raise PartitionError("a state occurs in two blocks")
+        # an empty block leaves its label unused, and _assign rejects that
+        self._assign(block_of, np.array(rel, dtype=bool))
 
     @classmethod
     def from_labels(cls, labels, rel) -> "PartitionRelationPair":
@@ -104,7 +96,10 @@ class PartitionRelationPair:
         self.rel.setflags(write=False)
         parts = np.split(by_label, starts[1:])
         self.members = tuple(parts[b] for b in order.tolist())
-        self.blocks = tuple(tuple(m.tolist()) for m in self.members)
+
+    @property
+    def blocks(self) -> tuple:
+        return tuple(tuple(m.tolist()) for m in self.members)
 
     @property
     def block_count(self) -> int:
@@ -113,6 +108,14 @@ class PartitionRelationPair:
     @property
     def state_count(self) -> int:
         return self.block_of.shape[0]
+
+    def restrict(self, n: int) -> "PartitionRelationPair":
+        """The pair induced on states 0..n-1; blocks left empty drop out."""
+        kept = np.zeros(self.block_count, dtype=bool)
+        kept[self.block_of[:n]] = True
+        ids = np.flatnonzero(kept)
+        labels = (np.cumsum(kept) - 1)[self.block_of[:n]]
+        return PartitionRelationPair.from_labels(labels, np.take(self.rel[ids], ids, axis=1))
 
     def rel_pairs(self):
         """Yield related block-id pairs in row-major order."""

@@ -10,7 +10,8 @@ ranked alphabet, so they can never collide with user symbols.
 Each translation also returns the coarsest partition-relation pair of its
 initial preorder, built from one block label per LTS state without an n x n
 matrix; the engines take it like any other initial pair, and OLRT intersects
-it with the output preorder itself.
+it with the output preorder itself.  The simulations return the engine's
+pair restricted to the automaton states.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lts import IDENTIFIER_RE, Lts
-from .partition import PartitionError, PartitionRelationPair, _row_classes
-from .relation import StateRelation
+from .partition import PartitionRelationPair, coarsest_pair
+from .relation import RelationError, StateRelation
 
 __all__ = [
     "TreeError",
@@ -336,8 +337,9 @@ class TranslationResult:
     ``initial`` is the coarsest pair of the reduction's initial preorder I,
     which both engines take as given: OLRT intersects it with the output
     preorder itself, LRT refines it as it is.  Automaton states keep their
-    ids, so they come first; ``back_map`` tags every LTS state with its
-    source: ("state", q), ("lhs", tuple) or ("env", Environment).
+    ids, so they come first and the result pair restricts to them;
+    ``back_map`` tags every LTS state with its source: ("state", q),
+    ("lhs", tuple) or ("env", Environment).
     """
 
     lts: Lts
@@ -345,43 +347,44 @@ class TranslationResult:
     back_map: tuple
 
 
-def downward_translation(ta: TreeAutomaton) -> TranslationResult:
-    """LTS encoding of the downward simulation problem.
+def downward_translation(
+    ta: TreeAutomaton, initial: PartitionRelationPair | None = None
+) -> TranslationResult:
+    """LTS encoding of the downward simulation problem inside ``initial``,
+    a pair over the automaton states (default: the full relation).
 
     Every rule (q1..qn, f, q) yields an f-edge from q to the left-hand-side
-    node and a position-i edge from that node to each qi.  The initial
-    preorder is the full relation: one block, related to itself.
+    node and a position-i edge from that node to each qi.  The initial pair
+    is ``initial`` plus one block of all left-hand-side nodes, related to no
+    state block: state pairs depend only on node pairs and node pairs only
+    on state pairs, so no pair across the two kinds matters.
     """
     lhs_list, _ = lhs_and_envs(ta)
     lhs_ids = {l: i for i, l in enumerate(lhs_list)}
     nq = ta.state_count
-    n = nq + len(lhs_list)
-    rmax = ta.max_rank
+    if initial is None:
+        initial = PartitionRelationPair.full(nq)
+    elif initial.state_count != nq:
+        raise TreeError("initial pair does not cover the automaton's states")
 
-    state_names = list(ta.state_names) + [
-        "(" + ",".join(ta.state_names[q] for q in l) + ")" for l in lhs_list
-    ]
-    symbol_names = list(ta.symbol_names) + [f"#{i}" for i in range(1, rmax + 1)]
     m = ta.symbol_count
-
     triples = set()
     for lhs, sym, tgt in ta.rules:
         lnode = nq + lhs_ids[lhs]
         triples.add((tgt, sym, lnode))
         for i, qi in enumerate(lhs):
             triples.add((lnode, m + i, qi))
-    lts = Lts.from_ids(state_names, symbol_names, list(triples))
-
-    initial = PartitionRelationPair.full(n)
-    back_map = tuple(
-        [("state", q) for q in range(nq)] + [("lhs", l) for l in lhs_list]
+    names = ["(" + ",".join(ta.state_names[q] for q in l) + ")" for l in lhs_list]
+    k = min(len(lhs_list), 1)
+    lhs_block = np.zeros(len(lhs_list), dtype=np.int64), np.ones((k, k), dtype=bool)
+    return _translation(
+        ta, "lhs", lhs_list, names, triples, (initial.block_of, initial.rel), lhs_block
     )
-    return TranslationResult(lts, initial, back_map)
 
 
 def upward_translation(ta: TreeAutomaton, d: StateRelation) -> TranslationResult:
     """LTS encoding of the upward simulation problem induced by the downward
-    preorder ``d``.
+    preorder ``d``, which is checked to be a preorder here.
 
     Every rule t = (q1..qn, f, q) yields, for each position i, an i-edge from
     qi to the environment t(i) and an f-edge from t(i) to q.  The initial
@@ -391,27 +394,27 @@ def upward_translation(ta: TreeAutomaton, d: StateRelation) -> TranslationResult
     Its coarsest pair has at most two state blocks (non-final below final)
     and one environment block per (symbol, hole, d-classes of the others).
     """
-    if d.size != ta.state_count:
-        raise TreeError("downward relation size does not match state count")
-    if not d.matrix.diagonal().all():
-        raise TreeError("downward relation must be reflexive")
+    try:
+        d_pair = coarsest_pair(d)
+    except RelationError as exc:
+        raise TreeError(f"downward relation rejected: {exc}") from None
+    return _upward_translation(ta, d_pair)
 
+
+def _upward_translation(ta: TreeAutomaton, d: PartitionRelationPair) -> TranslationResult:
+    """:func:`upward_translation` from the coarsest pair of ``d``."""
+    if d.state_count != ta.state_count:
+        raise TreeError("downward relation size does not match state count")
     _, envs = lhs_and_envs(ta)
     env_ids = {(e.symbol, e.hole, e.others, e.target): i for i, e in enumerate(envs)}
     nq = ta.state_count
-    rmax = ta.max_rank
-
-    state_names = list(ta.state_names) + [e.describe(ta) for e in envs]
-    symbol_names = list(ta.symbol_names) + [f"#{i}" for i in range(1, rmax + 1)]
     m = ta.symbol_count
-
     triples = set()
     for lhs, sym, tgt in ta.rules:
         for i, qi in enumerate(lhs):
             enode = nq + env_ids[sym, i, lhs[:i] + lhs[i + 1 :], tgt]
             triples.add((qi, m + i, enode))
             triples.add((enode, sym, tgt))
-    lts = Lts.from_ids(state_names, symbol_names, list(triples))
 
     # automaton states: one block per final flag that occurs, non-final below final
     is_final = np.zeros(nq, dtype=bool)
@@ -419,12 +422,9 @@ def upward_translation(ta: TreeAutomaton, d: StateRelation) -> TranslationResult
     flags, flag_of = np.unique(is_final, return_inverse=True)
     state_rel = ~flags[:, None] | flags[None, :]
 
-    # environments: one block per (symbol, hole, d-classes of the others);
-    # rows of a preorder are equal iff the two states are mutually related
-    dm = d.matrix
-    reps, dclass = _row_classes(np.packbits(dm, axis=1))
-    dc = dm[np.ix_(reps, reps)]
-    keys = np.full((len(envs), 1 + rmax), -1, dtype=np.int64)
+    # environments: one block per (symbol, hole, d-classes of the others)
+    dclass, dc = d.block_of, d.rel
+    keys = np.full((len(envs), 1 + ta.max_rank), -1, dtype=np.int64)
     for i, e in enumerate(envs):
         keys[i, :2] = e.symbol, e.hole
         keys[i, 2 : 1 + e.arity] = dclass[list(e.others)]
@@ -441,52 +441,65 @@ def upward_translation(ta: TreeAutomaton, d: StateRelation) -> TranslationResult
             sub &= dc[np.ix_(cls, cls)]
         env_rel[s : s + size, s : s + size] = sub
 
-    kq = len(flags)
-    k = kq + len(ukeys)
-    rel = np.zeros((k, k), dtype=bool)
-    rel[:kq, :kq] = state_rel
-    rel[kq:, kq:] = env_rel
-    labels = np.concatenate([flag_of.ravel(), kq + env_block.ravel()])
-    back_map = tuple(
-        [("state", q) for q in range(nq)] + [("env", e) for e in envs]
+    return _translation(
+        ta, "env", envs, [e.describe(ta) for e in envs], triples,
+        (flag_of.ravel(), state_rel), (env_block.ravel(), env_rel),
     )
-    return TranslationResult(lts, PartitionRelationPair.from_labels(labels, rel), back_map)
+
+
+def _translation(ta, kind, nodes, node_names, triples, states, others) -> TranslationResult:
+    """The LTS on the automaton states and then ``nodes`` (tagged ``kind``),
+    with the initial pair whose blocks are those of ``states`` and then
+    those of ``others``, each a (labels, relation); no pair crosses them."""
+    symbol_names = list(ta.symbol_names) + [f"#{i}" for i in range(1, ta.max_rank + 1)]
+    lts = Lts.from_ids(list(ta.state_names) + node_names, symbol_names, list(triples))
+    (labels, rel), (node_labels, node_rel) = states, others
+    k, kn = len(rel), len(node_rel)
+    both = np.zeros((k + kn, k + kn), dtype=bool)
+    both[:k, :k] = rel
+    both[k:, k:] = node_rel
+    labels = np.concatenate([labels, k + node_labels])
+    back_map = tuple([("state", q) for q in range(ta.state_count)] + [(kind, x) for x in nodes])
+    return TranslationResult(lts, PartitionRelationPair.from_labels(labels, both), back_map)
 
 
 # -- end-to-end pipelines -----------------------------------------------------
 
-def _run_translated(tr: TranslationResult, nq: int, algorithm: str) -> StateRelation:
+def _run_translated(tr: TranslationResult, nq: int, algorithm: str) -> PartitionRelationPair:
     """The engine's maximal simulation, restricted to the automaton states."""
     from .engine import ENGINES  # parsing and translating need no engine
 
     if algorithm not in ENGINES:
         raise TreeError(f"unknown algorithm {algorithm!r}")
     pair, _ = ENGINES[algorithm](tr.lts, tr.initial)
-    b = pair.block_of[:nq]
-    return StateRelation(pair.rel[np.ix_(b, b)])
+    return pair.restrict(nq)
 
 
-def downward_simulation(ta: TreeAutomaton, algorithm: str = "olrt") -> StateRelation:
-    """Maximal downward simulation on Q, via the LTS reduction."""
-    return _run_translated(downward_translation(ta), ta.state_count, algorithm)
+def downward_simulation(
+    ta: TreeAutomaton,
+    algorithm: str = "olrt",
+    initial: PartitionRelationPair | None = None,
+) -> PartitionRelationPair:
+    """Coarsest pair of the maximal downward simulation on Q inside
+    ``initial`` (default: the full relation), via the LTS reduction."""
+    return _run_translated(downward_translation(ta, initial), ta.state_count, algorithm)
 
 
-def upward_simulation(ta: TreeAutomaton, d: StateRelation, algorithm: str = "olrt") -> StateRelation:
-    """Maximal upward simulation induced by ``d``, via the LTS reduction."""
-    return _run_translated(upward_translation(ta, d), ta.state_count, algorithm)
+def upward_simulation(
+    ta: TreeAutomaton, d: PartitionRelationPair, algorithm: str = "olrt"
+) -> PartitionRelationPair:
+    """Coarsest pair of the maximal upward simulation induced by the
+    downward preorder whose coarsest pair is ``d``, via the LTS reduction."""
+    return _run_translated(_upward_translation(ta, d), ta.state_count, algorithm)
 
 
-def ta_quotient(ta: TreeAutomaton, partition) -> TreeAutomaton:
-    """Collapse each block of states to one; blocks are named after their
-    lexicographically least member."""
-    try:
-        pair = PartitionRelationPair(partition, np.eye(len(partition), dtype=bool))
-    except PartitionError as exc:
-        raise TreeError(str(exc)) from None
+def ta_quotient(ta: TreeAutomaton, pair: PartitionRelationPair) -> TreeAutomaton:
+    """Collapse each block of ``pair`` to one state; blocks are named after
+    their lexicographically least member."""
     if pair.state_count != ta.state_count:
         raise TreeError("partition does not cover the automaton's states")
     block_of = pair.block_of.tolist()
-    names = [min(ta.state_names[q] for q in block) for block in pair.blocks]
+    names = [min(ta.state_names[q] for q in m.tolist()) for m in pair.members]
     rules = {(tuple(block_of[q] for q in lhs), s, block_of[t]) for lhs, s, t in ta.rules}
     finals = {block_of[q] for q in ta.finals}
     return TreeAutomaton(names, ta.symbol_names, ta.ranks, sorted(rules), finals)

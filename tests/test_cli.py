@@ -17,6 +17,8 @@ from simred import cli
 from simred.cli import main
 from simred.generate import random_lts, random_preorder
 
+from conftest import T1_TEXT
+
 L1_TEXT = "p a q\nq b q\nr a q\n"
 
 
@@ -176,6 +178,63 @@ def test_ta_up_accepts_valid_downward_file(tmp_path, capsys, t1_text):
     code, out, _ = run(["ta-up", ta, "--init", ident], capsys)
     assert code == 0
     assert out == "q0 q0\nq0 q1\nq1 q1\n"
+
+
+# every state has a() and one g-rule, so the full relation is a downward
+# simulation; only r is final
+CYCLE_TEXT = """\
+Ops a:0 g:1
+Automaton C
+States p q r s
+Final States r
+Transitions
+a() -> p
+a() -> q
+a() -> r
+a() -> s
+g(p) -> q
+g(q) -> r
+g(r) -> s
+g(s) -> p
+"""
+
+
+@pytest.mark.parametrize("algo", ["olrt", "lrt", "oracle"])
+def test_ta_up_accepts_dense_downward_file(tmp_path, capsys, algo):
+    from simred import parse_timbuk, upward_naive
+
+    ta = parse_timbuk(CYCLE_TEXT)
+    path = write(tmp_path / "c.timbuk", CYCLE_TEXT)
+    full = StateRelation.full(ta.state_count)
+    init = write(tmp_path / "full.rel", serialize_relation(full, ta))
+    code, out, _ = run(["ta-up", path, "--init", init, "--algo", algo], capsys)
+    assert code == 0
+    assert out == serialize_relation(upward_naive(ta, full), ta)
+
+
+@pytest.mark.parametrize("algo", ["olrt", "lrt", "oracle"])
+@pytest.mark.parametrize(
+    "ta_text, d_text, reason",
+    [
+        (CYCLE_TEXT, "p p\nq q\nr r\ns s\np q\nq r\n",
+         "initial relation is not a preorder: not transitive: (0,1) and (1,2) present "
+         "but (0,2) missing"),
+        (T1_TEXT, "q0 q0\nq0 q1\n",
+         "initial relation is not a preorder: not reflexive: pair (1,1) missing"),
+        (T1_TEXT, "q0 q0\nq0 q1\nq1 q0\nq1 q1\n",
+         "the maximal downward simulation inside it drops (q0,q1)"),
+        (T1_TEXT, "q0 q0\nq1 q0\nq1 q1\n",
+         "the maximal downward simulation inside it drops (q1,q0)"),
+    ],
+    ids=["not-transitive", "not-reflexive", "full", "below"],
+)
+def test_ta_up_rejects_init_under_each_algorithm(tmp_path, capsys, algo, ta_text, d_text, reason):
+    ta = write(tmp_path / "a.timbuk", ta_text)
+    init = write(tmp_path / "d.rel", d_text)
+    code, out, err = run(["ta-up", ta, "--init", init, "--algo", algo], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == f"simred: {init}: not a downward simulation: {reason}\n"
 
 
 def test_ta_parse_error_exit_2(tmp_path, capsys):

@@ -298,7 +298,7 @@ def _clone_start(k=120, clones=3, seed=3):
 
 def _upward_start():
     ta = random_ta(100, 6, 3, 1000, seed=0)
-    tr = upward_translation(ta, downward_simulation(ta))
+    tr = upward_translation(ta, downward_simulation(ta).induced_relation())
     return tr.lts, tr.initial
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from simred import (
     Environment,
+    PartitionRelationPair,
     StateRelation,
     TreeAutomaton,
     TreeError,
@@ -17,7 +18,7 @@ from simred import (
     upward_simulation,
     upward_translation,
 )
-from simred.generate import random_ta
+from simred.generate import random_preorder, random_ta
 from ta_reference import initial_pair_matches
 
 
@@ -90,8 +91,10 @@ def test_downward_translation_structure_random():
 
 def test_specialized_init_equals_generic_downward(t1):
     tas = [t1] + [random_ta(5, 3, 2, 9, seed=s) for s in range(30)]
-    for ta in tas:
+    for seed, ta in enumerate(tas):
         assert initial_pair_matches(ta, downward_translation(ta))
+        d = random_preorder(ta.state_count, edge_prob=0.3, seed=seed)
+        assert initial_pair_matches(ta, downward_translation(ta, coarsest_pair(d)), init=d)
 
 
 def test_upward_translation_t1(t1):
@@ -111,6 +114,18 @@ def test_upward_translation_t1(t1):
 def test_upward_translation_requires_reflexive_d(t1):
     with pytest.raises(TreeError, match="reflexive"):
         upward_translation(t1, StateRelation.empty(2))
+
+
+def test_upward_translation_rejects_non_transitive_d():
+    # reflexive but not transitive: (0,1) and (1,2) without (0,2); the
+    # witness names automaton states, not blocks of the translated LTS
+    d = StateRelation.identity(5)
+    d.add(0, 1)
+    d.add(1, 2)
+    for seed in range(20):
+        ta = random_ta(5, 3, 2, 10, seed=seed)
+        with pytest.raises(TreeError, match=r"not transitive: \(0,1\) and \(1,2\)"):
+            upward_translation(ta, d)
 
 
 def test_envs_with_distinct_symbols_not_out_related():
@@ -135,33 +150,60 @@ def test_specialized_init_equals_generic_upward(t1):
 
 def test_downward_simulation_t1(t1):
     d = downward_simulation(t1)
-    assert set(d.pairs()) == {(0, 0), (1, 1)}
+    assert set(d.induced_relation().pairs()) == {(0, 0), (1, 1)}
 
 
 def test_downward_simulation_no_rules_full():
     ta = TreeAutomaton(["x", "y"], ["f"], [1], [], [])
-    assert downward_simulation(ta) == StateRelation.full(2)
+    assert downward_simulation(ta) == PartitionRelationPair.full(2)
 
 
 def test_downward_simulation_matches_oracle_random():
     for seed in range(60):
         ta = random_ta(1 + seed % 6, 1 + seed % 3, 2, seed % 11, seed=seed)
-        expect = downward_naive(ta)
+        expect = coarsest_pair(downward_naive(ta))
         for algorithm in ("olrt", "lrt"):
             assert downward_simulation(ta, algorithm=algorithm) == expect, algorithm
 
 
+def test_downward_inside_a_preorder_matches_oracle_and_the_cli_check(tmp_path, capsys):
+    # inside a random preorder D, and inside the maximal simulation in D,
+    # which is a downward simulation and so is accepted as --init
+    from simred.cli import main
+    from simred.lts import serialize_relation
+
+    accepted = rejected = 0
+    for seed in range(40):
+        ta = random_ta(1 + seed % 6, 1 + seed % 3, 2, seed % 11, seed=seed)
+        path = tmp_path / "a.timbuk"
+        path.write_text(serialize_timbuk(ta))
+        d = random_preorder(ta.state_count, edge_prob=0.4, seed=seed)
+        for given in (d, downward_naive(ta, init=d)):
+            expect = coarsest_pair(downward_naive(ta, init=given))
+            rel = tmp_path / "d.rel"
+            rel.write_text(serialize_relation(given, ta))
+            for algorithm in ("olrt", "lrt"):
+                got = downward_simulation(ta, algorithm, coarsest_pair(given))
+                assert got == expect, (seed, algorithm)
+                code = main(["ta-up", str(path), "--init", str(rel), "--algo", algorithm])
+                capsys.readouterr()
+                assert code == (0 if expect == coarsest_pair(given) else 3), (seed, algorithm)
+                accepted += code == 0
+                rejected += code == 3
+    assert accepted and rejected
+
+
 def test_upward_simulation_t1(t1):
-    d = downward_naive(t1)
+    d = coarsest_pair(downward_naive(t1))
     u = upward_simulation(t1, d)
-    assert set(u.pairs()) == {(0, 0), (0, 1), (1, 1)}
+    assert set(u.induced_relation().pairs()) == {(0, 0), (0, 1), (1, 1)}
 
 
 def test_upward_simulation_vacuous_case():
     # no finals and no left-hand-side occurrences: everything relates
     ta = TreeAutomaton(["x", "y"], ["a"], [0], [((), 0, 0)], [])
-    u = upward_simulation(ta, StateRelation.identity(2))
-    assert u == StateRelation.full(2)
+    u = upward_simulation(ta, coarsest_pair(StateRelation.identity(2)))
+    assert u == PartitionRelationPair.full(2)
 
 
 def test_upward_simulation_matches_oracle_random():
@@ -170,7 +212,7 @@ def test_upward_simulation_matches_oracle_random():
         for algorithm in ("olrt", "lrt"):
             d = downward_simulation(ta, algorithm=algorithm)
             u = upward_simulation(ta, d, algorithm=algorithm)
-            assert u == upward_naive(ta, d), algorithm
+            assert u == coarsest_pair(upward_naive(ta, d.induced_relation())), algorithm
 
 
 def test_lhs_extension_correspondence():
@@ -200,25 +242,25 @@ def test_simulations_are_preorders_random():
     for seed in range(25):
         ta = random_ta(5, 2, 2, 8, seed=seed)
         d = downward_simulation(ta)
-        assert d.is_preorder()
+        assert d.induced_relation().is_preorder()
         u = upward_simulation(ta, d)
-        assert u.is_preorder()
+        assert u.induced_relation().is_preorder()
 
 
 # -- quotienting -------------------------------------------------------------
 
 
 def test_ta_quotient_identity(t1):
-    assert ta_quotient(t1, [[0], [1]]) == t1
+    assert ta_quotient(t1, coarsest_pair(StateRelation.identity(2))) == t1
 
 
 def test_ta_quotient_by_downward_equivalence_t1(t1):
-    blocks = coarsest_pair(downward_naive(t1)).blocks
-    assert ta_quotient(t1, blocks) == t1  # D is the identity here
+    pair = coarsest_pair(downward_naive(t1))
+    assert ta_quotient(t1, pair) == t1  # D is the identity here
 
 
 def test_ta_quotient_single_block(t1):
-    reduced = ta_quotient(t1, [[0, 1]])
+    reduced = ta_quotient(t1, PartitionRelationPair.full(2))
     assert reduced.state_count == 1
     assert serialize_timbuk(reduced) == (
         "Ops a:0 g:1\nAutomaton A\nStates q0\nFinal States q0\nTransitions\n"
@@ -227,7 +269,6 @@ def test_ta_quotient_single_block(t1):
 
 
 def test_ta_quotient_validates(t1):
+    # a pair cannot repeat a state (test_partition.py), but it can miss some
     with pytest.raises(TreeError):
-        ta_quotient(t1, [[0]])
-    with pytest.raises(TreeError):
-        ta_quotient(t1, [[0, 0], [1]])
+        ta_quotient(t1, PartitionRelationPair.full(1))
