@@ -54,7 +54,6 @@ _MODULE_OF = {
     "serialize_lts": "lts",
     "serialize_relation": "lts",
     "serialize_timbuk": "tree",
-    "split": "oracle",
     "ta_quotient": "tree",
     "upward_naive": "oracle",
     "upward_simulation": "tree",

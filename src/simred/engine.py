@@ -28,6 +28,9 @@ combination computes the same pair.  :func:`lrt` and :func:`olrt` are the
 two named corner configurations, and like :func:`run_engine` both return
 the final pair together with its run metrics.
 
+The initial pair is trusted: a :class:`PartitionRelationPair` is the
+coarsest pair of a preorder by construction, so no run checks it again.
+
 The engine reads the LTS's own per-symbol CSR arrays and ``in_mask``; the
 only tables it derives itself are the counter slots and the all-symbol
 predecessor entries (``_Adjacency``).
@@ -41,12 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lts import Lts
-from .partition import (
-    PartitionError,
-    PartitionRelationPair,
-    refine_by_out,
-    validate_coarsest,
-)
+from .partition import PartitionRelationPair, _trusted_pair, refine_by_out
 
 __all__ = [
     "EngineError",
@@ -170,7 +168,8 @@ class EngineState:
     blocks, and run metrics.  A segment has one cell per counter slot of its
     symbol, and the arenas grow by doubling.  Blocks whose Remove sets
     become nonempty move to the front of the scheduling order; selection
-    scans from the front.
+    scans from the front.  ``initial`` must cover the LTS's states; being a
+    pair, it is already the coarsest pair of a preorder.
     """
 
     def __init__(
@@ -185,16 +184,8 @@ class EngineState:
     ):
         if initial.state_count != lts.state_count:
             raise EngineError("initial pair does not cover this LTS's states")
-        # Remove sets restricted to emitters are sound only on a pair refined
-        # by Out; refine_by_out validates the pair, the plain start does it here
-        try:
-            if out_init or restrict_remove:
-                pair = refine_by_out(initial, lts)
-            else:
-                validate_coarsest(initial)
-                pair = initial
-        except PartitionError as exc:
-            raise EngineError(f"initial pair rejected: {exc}") from exc
+        # Remove sets restricted to emitters are sound only on a pair refined by Out
+        pair = refine_by_out(initial, lts) if out_init or restrict_remove else initial
 
         self.lts = lts
         self.out_init = out_init
@@ -470,9 +461,11 @@ class EngineState:
     # -- results and audits ---------------------------------------------------
 
     def current_pair(self) -> PartitionRelationPair:
-        """Snapshot of the live partition-relation pair."""
+        """Snapshot of the live partition-relation pair: the coarsest pair of
+        a preorder before the first step and at the fixpoint, while in
+        between the working relation need not be transitive or coarsest."""
         nb = self._nb
-        return PartitionRelationPair.from_labels(self._block_of, self._rel[:nb, :nb])
+        return _trusted_pair(self._block_of, self._rel[:nb, :nb])
 
     def audit_state(self) -> None:
         """Recompute every live counter and Remove set from definitions.

@@ -3,8 +3,7 @@
 Everything here is written in plain delete-and-sweep style on purpose and
 shares no code with the refinement engines; independence is the point.  The
 LTS oracle reads only ``Lts.transitions()``, not the CSR arrays the engines
-use.  :func:`split` is the set-level twin of the engine's partition split.
-Intended for small inputs only.
+use.  Intended for small inputs only.
 """
 
 from __future__ import annotations
@@ -12,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lts import Lts
-from .partition import PartitionError
 from .relation import StateRelation
 
-__all__ = ["OracleResult", "max_simulation_naive", "downward_naive", "upward_naive", "split"]
+__all__ = ["OracleResult", "max_simulation_naive", "downward_naive", "upward_naive"]
 
 
 @dataclass
@@ -144,39 +142,3 @@ def upward_naive(ta, d: StateRelation) -> StateRelation:
                         break
     return StateRelation(m)
 
-
-def split(partition, remove):
-    """Refine ``partition`` by a state set: each block B becomes B-remove and
-    B&remove, empty parts discarded.
-
-    Returns ``(blocks, parent_map)``.  Unsplit blocks and the surviving
-    B-remove parts keep their index; the B&remove parts are appended in
-    ascending parent order.  ``parent_map`` sends every result index to the
-    index of its originating block.
-    """
-    remove = set(remove)
-    blocks = [tuple(sorted(block)) for block in partition]
-    universe = set()
-    for block in blocks:
-        universe.update(block)
-    if not remove <= universe:
-        raise PartitionError("remove set is not a subset of the partition's states")
-
-    result: list[tuple[int, ...]] = []
-    parent_map: dict[int, int] = {}
-    appended: list[tuple[tuple[int, ...], int]] = []
-    for i, block in enumerate(blocks):
-        inside = tuple(v for v in block if v in remove)
-        outside = tuple(v for v in block if v not in remove)
-        if inside and outside:
-            result.append(outside)
-            parent_map[i] = i
-            appended.append((inside, i))
-        else:
-            # one side empty: the block is unchanged
-            result.append(block)
-            parent_map[i] = i
-    for inside, parent in appended:
-        parent_map[len(result)] = parent
-        result.append(inside)
-    return result, parent_map

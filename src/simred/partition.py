@@ -39,34 +39,34 @@ class PartitionRelationPair:
     gives them as tuples, built on demand).  The pair is canonical: block b
     is the block whose least member is the b-th smallest.  All arrays are
     read-only.
-    Build one from explicit blocks with the constructor or from a label per
-    state with :meth:`from_labels`.
+
+    The relation is the coarsest relation of a preorder over the blocks.
+    :meth:`from_labels`, the one public constructor, checks that; this
+    module's producers (:meth:`full`, :meth:`restrict`,
+    :func:`coarsest_pair`, :func:`closure_pair`, :func:`refine_by_out`) and
+    the engine and tree translations build pairs that hold it by
+    construction, so no consumer checks it again.  Only an engine snapshot
+    taken before the fixpoint (``EngineState.current_pair``) may break it.
     """
 
     __slots__ = ("block_of", "rel", "members")
-
-    def __init__(self, blocks, rel):
-        members = [np.fromiter(block, dtype=np.int64) for block in blocks]
-        states = np.concatenate(members) if members else np.zeros(0, dtype=np.int64)
-        n = len(states)
-        if ((states < 0) | (states >= n)).any():
-            raise PartitionError("blocks must cover a dense id range starting at 0")
-        block_of = np.full(n, -1, dtype=np.int64)
-        block_of[states] = np.repeat(np.arange(len(members)), [m.size for m in members])
-        if (block_of < 0).any():  # n ids in range, so one is missing iff one repeats
-            raise PartitionError("a state occurs in two blocks")
-        # an empty block leaves its label unused, and _assign rejects that
-        self._assign(block_of, np.array(rel, dtype=bool))
 
     @classmethod
     def from_labels(cls, labels, rel) -> "PartitionRelationPair":
         """The pair whose blocks are the states sharing a label.
 
         ``labels`` gives each state a label in 0..k-1, every label used, and
-        ``rel`` is the k x k relation between labels.
+        ``rel`` is the k x k relation between labels, which must be the
+        coarsest relation of a preorder (see :func:`validate_coarsest`).
         """
-        pair = object.__new__(cls)
-        pair._assign(np.asarray(labels, dtype=np.int64), np.asarray(rel, dtype=bool))
+        labels, rel = np.asarray(labels), np.asarray(rel, dtype=bool)
+        if labels.ndim != 1 or labels.size and (labels.dtype.kind not in "iu" or labels.min() < 0):
+            raise PartitionError("labels must be a 1-D array of nonnegative integers")
+        # checked before _trusted_pair's bincount, which allocates up to the largest label
+        if rel.ndim != 2 or labels.size and labels.max() >= len(rel):
+            raise PartitionError("labels must index the rows of a 2-D relation")
+        pair = _trusted_pair(labels, rel)
+        validate_coarsest(pair)
         return pair
 
     @classmethod
@@ -74,28 +74,7 @@ class PartitionRelationPair:
         """The pair of the full relation on n states: one block, or none
         when n is 0."""
         k = min(n, 1)
-        return cls.from_labels(np.zeros(n, dtype=np.int64), np.ones((k, k), dtype=bool))
-
-    def _assign(self, labels: np.ndarray, rel: np.ndarray) -> None:
-        # renumber the labels by least member; a stable sort by label lists
-        # every block ascending, its least member first
-        k = len(rel)
-        sizes = np.bincount(labels, minlength=k)
-        if rel.shape != (k, k) or len(sizes) != k or not sizes.all():
-            raise PartitionError(f"labels must use exactly the {k} ids of the relation")
-        by_label = np.argsort(labels, kind="stable")
-        by_label.setflags(write=False)
-        starts = np.cumsum(sizes) - sizes
-        order = np.argsort(by_label[starts])
-        renumber = np.empty(k, dtype=np.int64)
-        renumber[order] = np.arange(k)
-        self.block_of = renumber[labels]
-        self.block_of.setflags(write=False)
-        # gathering rows, then columns, beats one 2-D fancy index
-        self.rel = np.take(rel[order], order, axis=1)
-        self.rel.setflags(write=False)
-        parts = np.split(by_label, starts[1:])
-        self.members = tuple(parts[b] for b in order.tolist())
+        return _trusted_pair(np.zeros(n, dtype=np.int64), np.ones((k, k), dtype=bool))
 
     @property
     def blocks(self) -> tuple:
@@ -115,7 +94,7 @@ class PartitionRelationPair:
         kept[self.block_of[:n]] = True
         ids = np.flatnonzero(kept)
         labels = (np.cumsum(kept) - 1)[self.block_of[:n]]
-        return PartitionRelationPair.from_labels(labels, np.take(self.rel[ids], ids, axis=1))
+        return _trusted_pair(labels, np.take(self.rel[ids], ids, axis=1))
 
     def rel_pairs(self):
         """Yield related block-id pairs in row-major order."""
@@ -151,6 +130,34 @@ class PartitionRelationPair:
         return f"PartitionRelationPair(blocks={self.block_count}, states={self.state_count})"
 
 
+def _trusted_pair(labels, rel) -> PartitionRelationPair:
+    """:meth:`PartitionRelationPair.from_labels` without the preorder check,
+    for producers whose pairs are coarsest by construction."""
+    labels = np.asarray(labels, dtype=np.int64)
+    rel = np.asarray(rel, dtype=bool)
+    # renumber the labels by least member; a stable sort by label lists
+    # every block ascending, its least member first
+    k = len(rel)
+    sizes = np.bincount(labels, minlength=k)
+    if rel.shape != (k, k) or len(sizes) != k or not sizes.all():
+        raise PartitionError(f"labels must use exactly the {k} ids of the relation")
+    by_label = np.argsort(labels, kind="stable")
+    by_label.setflags(write=False)
+    starts = np.cumsum(sizes) - sizes
+    order = np.argsort(by_label[starts])
+    renumber = np.empty(k, dtype=np.int64)
+    renumber[order] = np.arange(k)
+    pair = object.__new__(PartitionRelationPair)
+    pair.block_of = renumber[labels]
+    pair.block_of.setflags(write=False)
+    # gathering rows, then columns, beats one 2-D fancy index
+    pair.rel = np.take(rel[order], order, axis=1)
+    pair.rel.setflags(write=False)
+    parts = np.split(by_label, starts[1:])
+    pair.members = tuple(parts[b] for b in order.tolist())
+    return pair
+
+
 def coarsest_pair(rho: StateRelation) -> PartitionRelationPair:
     """Coarsest partition-relation pair inducing the preorder ``rho``.
 
@@ -160,7 +167,7 @@ def coarsest_pair(rho: StateRelation) -> PartitionRelationPair:
     rho.require_preorder("initial relation")
     m = rho.matrix
     reps, block_of = _row_classes(np.packbits(m, axis=1))
-    return PartitionRelationPair.from_labels(block_of, np.take(m[reps], reps, axis=1))
+    return _trusted_pair(block_of, np.take(m[reps], reps, axis=1))
 
 
 def closure_pair(rel: StateRelation) -> PartitionRelationPair:
@@ -232,7 +239,7 @@ def closure_pair(rel: StateRelation) -> PartitionRelationPair:
     width = (k + 7) // 8
     packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in reach), dtype=np.uint8)
     closed = np.unpackbits(packed.reshape(k, width), axis=1, count=k, bitorder="little")
-    return PartitionRelationPair.from_labels(comp, closed.view(bool))
+    return _trusted_pair(comp, closed.view(bool))
 
 
 def _run(ids: np.ndarray):
@@ -322,9 +329,9 @@ def refine_by_out(initial: PartitionRelationPair, lts: Lts) -> PartitionRelation
     Each refined block is one (initial block, ``out_mask`` row) group; two
     groups are related iff their initial blocks are and the first group's
     output symbols are a subset of the second's.  That relation is a
-    preorder, and its equivalent groups then merge back into one block.
+    preorder, and no two groups are equivalent: they would share their
+    initial block (I's pair is coarsest) and their output symbols.
     """
-    validate_coarsest(initial)
     if initial.state_count != lts.state_count:
         raise PartitionError("pair does not cover this LTS's states")
     n = lts.state_count
@@ -338,5 +345,4 @@ def refine_by_out(initial: PartitionRelationPair, lts: Lts) -> PartitionRelation
     o = lts.out_mask[reps].astype(np.float32)
     parents = block_of[reps]
     rel = initial.rel[np.ix_(parents, parents)] & ((o @ (1.0 - o).T) < 0.5)
-    keep, merged_of = _row_classes(np.packbits(rel, axis=1))
-    return PartitionRelationPair.from_labels(merged_of[group_of], rel[np.ix_(keep, keep)])
+    return _trusted_pair(group_of, rel)

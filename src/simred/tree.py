@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lts import IDENTIFIER_RE, Lts
-from .partition import PartitionRelationPair, coarsest_pair
+from .partition import PartitionRelationPair, _trusted_pair, coarsest_pair
 from .relation import RelationError, StateRelation
 
 __all__ = [
@@ -460,7 +460,7 @@ def _translation(ta, kind, nodes, node_names, triples, states, others) -> Transl
     both[k:, k:] = node_rel
     labels = np.concatenate([labels, k + node_labels])
     back_map = tuple([("state", q) for q in range(ta.state_count)] + [(kind, x) for x in nodes])
-    return TranslationResult(lts, PartitionRelationPair.from_labels(labels, both), back_map)
+    return TranslationResult(lts, _trusted_pair(labels, both), back_map)
 
 
 # -- end-to-end pipelines -----------------------------------------------------

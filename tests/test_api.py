@@ -44,7 +44,6 @@ PUBLIC = [
     "serialize_lts",
     "serialize_relation",
     "serialize_timbuk",
-    "split",
     "ta_quotient",
     "upward_naive",
     "upward_simulation",

@@ -450,6 +450,38 @@ def test_preorder_checked_once_per_run(tmp_path, capsys, monkeypatch):
             assert len(calls) == checks, argv
 
 
+def test_no_cli_path_checks_a_built_pair(tmp_path, capsys, monkeypatch):
+    # every pair is checked where it is built; the CLI builds none through
+    # from_labels, so no valid input reaches validate_coarsest
+    import simred.partition
+
+    calls = []
+    monkeypatch.setattr(simred.partition, "validate_coarsest", calls.append)
+    lts = write(tmp_path / "l1.lts", L1_TEXT)
+    preorder = write(tmp_path / "pre.rel", "p p\nq q\nr r\np r\n")
+    generators = write(tmp_path / "gen.rel", "p r\n")
+    ta = write(tmp_path / "t1.tmb", T1_TEXT)
+    code, out, _ = run(["ta-down", ta], capsys)
+    assert code == 0
+    downward = write(tmp_path / "down.rel", out)
+    for algo in ("olrt", "lrt", "oracle"):
+        for argv in (
+            ["sim-lts", lts],
+            ["sim-lts", lts, "--format", "blocks"],
+            ["sim-lts", lts, "--init", preorder],
+            ["sim-lts", lts, "--init", generators, "--closure"],
+            ["minimize", lts],
+            ["minimize", lts, "--init", generators, "--closure"],
+            ["ta-down", ta],
+            ["ta-up", ta],
+            ["ta-up", ta, "--init", downward],
+            ["minimize", ta],
+        ):
+            code, _, _ = run(argv + ["--algo", algo], capsys)
+            assert code == 0, argv
+            assert calls == [], argv
+
+
 def test_minimize_quotients_by_engine_pair(tmp_path, capsys):
     for seed in range(6):
         lts = parse_lts(serialize_lts(random_lts(6 + seed, 2, edge_prob=0.3, seed=seed)))

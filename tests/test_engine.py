@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from simred import (
     EngineError,
     EngineState,
     Lts,
+    PartitionError,
     PartitionRelationPair,
     StateRelation,
     coarsest_pair,
@@ -74,12 +76,13 @@ def test_olrt_l3_single_pruning_iteration(l3):
 
 
 def test_engine_rejects_bad_initial(l1):
-    non_coarsest = PartitionRelationPair([[0], [1], [2]], np.ones((3, 3), dtype=bool))
+    # a bad initial pair cannot be built, so no engine ever receives one
+    with pytest.raises(PartitionError, match="not coarsest"):
+        PartitionRelationPair.from_labels([0, 1, 2], np.ones((3, 3), dtype=bool))
+    with pytest.raises(PartitionError, match="not reflexive"):
+        PartitionRelationPair.from_labels([0, 1, 2], np.zeros((3, 3), dtype=bool))
     with pytest.raises(EngineError):
-        lrt(l1, non_coarsest)
-    not_reflexive = PartitionRelationPair([[0], [1], [2]], np.zeros((3, 3), dtype=bool))
-    with pytest.raises(EngineError):
-        olrt(l1, not_reflexive)
+        olrt(l1, PartitionRelationPair.full(2))
 
 
 # -- stepping -------------------------------------------------------------------
@@ -375,22 +378,17 @@ def test_chunked_init_and_either_predecessor_gather_agree(monkeypatch, few_state
 
 
 def test_validate_coarsest_once_per_run(l3, monkeypatch):
-    import simred.engine
+    # the pair was checked when it was built; no run checks it again
     import simred.partition
 
     calls = []
-    original = simred.partition.validate_coarsest
-
-    def counting(pair):
-        calls.append(pair.block_count)
-        return original(pair)
-
-    monkeypatch.setattr(simred.partition, "validate_coarsest", counting)
-    monkeypatch.setattr(simred.engine, "validate_coarsest", counting)
+    monkeypatch.setattr(simred.partition, "validate_coarsest", calls.append)
+    init = full_init(3)
     for engine in (olrt, lrt):
-        calls.clear()
-        engine(l3, full_init(3))
-        assert len(calls) == 1, engine.__name__
+        engine(l3, init)
+    for flags in itertools.product((True, False), repeat=3):
+        run_engine(l3, init, **dict(zip(("out_init", "restrict_to_in", "restrict_remove"), flags)))
+    assert calls == []
 
 
 def test_counter_arena_holds_live_segments_only():

@@ -150,7 +150,9 @@ def test_quotient_l1_merge(l1):
     p, q, r = (l1.state_id(s) for s in "pqr")
     from simred import PartitionRelationPair
 
-    pair = PartitionRelationPair([[p, r], [q]], [[True, False], [False, True]])
+    labels = np.zeros(3, dtype=np.int64)
+    labels[q] = 1
+    pair = PartitionRelationPair.from_labels(labels, [[True, False], [False, True]])
     reduced = quotient(l1, pair)
     assert reduced.state_count == 2
     assert serialize_lts(reduced) == "p a q\nq b q\n"
@@ -159,7 +161,7 @@ def test_quotient_l1_merge(l1):
 def test_quotient_single_block(l1):
     from simred import PartitionRelationPair
 
-    pair = PartitionRelationPair([[0, 1, 2]], [[True]])
+    pair = PartitionRelationPair.from_labels([0, 0, 0], [[True]])
     reduced = quotient(l1, pair)
     assert reduced.state_count == 1
     assert serialize_lts(reduced) == "p a p\np b p\n"

@@ -10,9 +10,7 @@ from simred import (
     coarsest_pair,
     out_preorder,
     refine_by_out,
-    validate_coarsest,
 )
-from simred.oracle import split
 from simred.partition import closure_pair
 from simred.generate import random_lts, random_preorder
 
@@ -36,7 +34,7 @@ def brute_force_coarsest(rho: StateRelation) -> PartitionRelationPair:
     for i in range(k):
         for j in range(k):
             rel[i, j] = rho.has(blocks[i][0], blocks[j][0])
-    return PartitionRelationPair(blocks, rel)
+    return PartitionRelationPair.from_labels(assigned, rel)
 
 
 def test_coarsest_full_relation():
@@ -74,12 +72,12 @@ def test_coarsest_matches_brute_force_on_randoms():
 
 
 def test_induced_one_block():
-    pair = PartitionRelationPair([[0, 1]], [[True]])
+    pair = PartitionRelationPair.from_labels([0, 0], [[True]])
     assert pair.induced_relation() == StateRelation.full(2)
 
 
 def test_induced_identity_blocks():
-    pair = PartitionRelationPair([[0], [1]], np.eye(2, dtype=bool))
+    pair = PartitionRelationPair.from_labels([0, 1], np.eye(2, dtype=bool))
     assert pair.induced_relation() == StateRelation.identity(2)
 
 
@@ -148,100 +146,30 @@ def test_coarsest_block_law():
 
 
 def test_pair_validates_structure():
-    with pytest.raises(PartitionError):
-        PartitionRelationPair([[0], [0, 1]], np.eye(2, dtype=bool))
-    with pytest.raises(PartitionError):
-        PartitionRelationPair([[0], []], np.eye(2, dtype=bool))
-    with pytest.raises(PartitionError):
-        PartitionRelationPair([[0, 2]], [[True]])
-    with pytest.raises(PartitionError):
-        PartitionRelationPair([[0, 1]], np.eye(2, dtype=bool))
+    eye = np.eye(2, dtype=bool)
+    for labels, rel in [
+        ([0, 0], eye),  # label 1 names an empty block
+        ([0], eye),
+        ([0, 2], [[True]]),  # label 2 is past the relation
+        ([0, 1], [[True]]),
+        ([0, 1], [True, True]),  # the relation is not square
+        ([-1, 0], eye),
+        ([[0, 1]], eye),
+        ([0, 1.5], eye),
+    ]:
+        with pytest.raises(PartitionError):
+            PartitionRelationPair.from_labels(labels, rel)
 
 
 def test_validate_coarsest_rejects_mergeable():
-    pair = PartitionRelationPair([[0], [1]], [[True, True], [True, True]])
     with pytest.raises(PartitionError, match="not coarsest"):
-        validate_coarsest(pair)
+        PartitionRelationPair.from_labels([0, 1], [[True, True], [True, True]])
 
 
 def test_canonical_equality_ignores_block_order():
-    a = PartitionRelationPair([[2], [0, 1]], [[True, False], [False, True]])
-    b = PartitionRelationPair([[0, 1], [2]], [[True, False], [False, True]])
+    a = PartitionRelationPair.from_labels([1, 1, 0], [[True, False], [False, True]])
+    b = PartitionRelationPair.from_labels([0, 0, 1], [[True, False], [False, True]])
     assert a == b
-
-
-# -- split --------------------------------------------------------------------
-
-
-def test_split_basic():
-    blocks, parents = split([[1, 2, 3]], {2})
-    assert blocks == [(1, 3), (2,)]
-    assert parents == {0: 0, 1: 0}
-
-
-def test_split_empty_remove_identity():
-    blocks, parents = split([[1, 2], [3]], set())
-    assert blocks == [(1, 2), (3,)]
-    assert parents == {0: 0, 1: 1}
-
-
-def test_split_two_blocks():
-    blocks, parents = split([[1, 2], [3]], {1, 3})
-    assert blocks == [(2,), (3,), (1,)]
-    assert parents == {0: 0, 1: 1, 2: 0}
-
-
-def test_split_remove_must_be_subset():
-    with pytest.raises(PartitionError):
-        split([[0, 1]], {5})
-
-
-def random_partition(rng, n):
-    ids = rng.integers(0, 1 + rng.integers(1, n + 1), size=n)
-    groups = {}
-    for v, g in enumerate(ids):
-        groups.setdefault(int(g), []).append(v)
-    return list(groups.values())
-
-
-def as_sets(blocks):
-    return {frozenset(b) for b in blocks}
-
-
-def test_split_laws_random():
-    rng = np.random.default_rng(7)
-    for _ in range(150):
-        n = int(rng.integers(1, 9))
-        part = random_partition(rng, n)
-        remove = {int(v) for v in range(n) if rng.random() < 0.4}
-        out, parents = split(part, remove)
-        # refinement: each child is inside its parent
-        for cid, pid in parents.items():
-            assert set(out[cid]) <= set(part[pid])
-        # the set formula
-        expected = {frozenset(set(b) - remove) for b in part} | {
-            frozenset(set(b) & remove) for b in part
-        }
-        expected.discard(frozenset())
-        assert as_sets(out) == expected
-
-
-def test_split_absorption_lemma():
-    # if split(Q,Y) = Q and Y <= Z then split(Q,Z) = split(Q, Z-Y)
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        n = int(rng.integers(1, 9))
-        part = random_partition(rng, n)
-        y = set()
-        for block in part:
-            if rng.random() < 0.5:
-                y |= set(block)  # whole blocks only, so split(Q,Y) = Q
-        outy, _ = split(part, y)
-        assert as_sets(outy) == as_sets(part)
-        z = y | {int(v) for v in range(n) if rng.random() < 0.3}
-        outz, _ = split(part, z)
-        outzy, _ = split(part, z - y)
-        assert as_sets(outz) == as_sets(outzy)
 
 
 # -- refine_by_out -------------------------------------------------------------

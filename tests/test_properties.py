@@ -13,12 +13,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from simred import (  # noqa: E402
+    EngineState,
     Lts,
     LtsParseError,
     PartitionError,
     PartitionRelationPair,
     StateRelation,
     coarsest_pair,
+    downward_translation,
+    engine_step,
     lrt,
     max_simulation_naive,
     olrt,
@@ -30,8 +33,10 @@ from simred import (  # noqa: E402
     run_engine,
     serialize_lts,
     serialize_relation,
+    upward_translation,
     validate_coarsest,
 )
+from simred.generate import random_ta  # noqa: E402
 from simred.lts import IDENTIFIER_RE, build_lts  # noqa: E402
 from simred.partition import closure_pair  # noqa: E402
 from simred.partition import transitivity_witness  # noqa: E402
@@ -49,19 +54,21 @@ def lts_parts(draw, min_edges=0):
 
 
 @st.composite
+def relation_bits(draw, n):
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    return StateRelation(np.array(bits, dtype=bool).reshape(n, n))
+
+
+@st.composite
 def lts_and_preorder(draw):
     states, symbols, triples = draw(lts_parts())
-    n = len(states)
-    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
-    base = StateRelation(np.array(bits, dtype=bool).reshape(n, n))
+    base = draw(relation_bits(len(states)))
     return Lts.from_ids(states, symbols, triples), base.reflexive_transitive_closure()
 
 
 @st.composite
 def preorders(draw):
-    n = draw(st.integers(0, 8))
-    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
-    return StateRelation(np.array(bits, dtype=bool).reshape(n, n)).reflexive_transitive_closure()
+    return draw(relation_bits(draw(st.integers(0, 8)))).reflexive_transitive_closure()
 
 
 @small
@@ -74,11 +81,11 @@ def test_coarsest_pair_is_canonical(rho, rnd):
     for i, block in enumerate(pair.blocks):
         assert list(block) == sorted(block)
         assert (pair.block_of[list(block)] == i).all()
-    # the same blocks in any order, members in any order, give identical arrays
+    # the same blocks under any block ids give identical arrays
     order = rnd.sample(range(pair.block_count), pair.block_count)
-    shuffled = PartitionRelationPair(
-        [rnd.sample(pair.blocks[i], len(pair.blocks[i])) for i in order],
-        pair.rel[np.ix_(order, order)],
+    label_of = np.argsort(order)  # block order[j] gets label j
+    shuffled = PartitionRelationPair.from_labels(
+        label_of[pair.block_of], pair.rel[np.ix_(order, order)]
     )
     assert shuffled.blocks == pair.blocks
     assert np.array_equal(shuffled.block_of, pair.block_of)
@@ -155,6 +162,41 @@ def test_every_engine_configuration_matches_the_oracle(case):
             restrict_remove=restrict_remove, audit=True,
         )
         assert pair == expected
+
+
+@small
+@given(lts_parts(), st.data())
+def test_every_pair_the_package_builds_is_coarsest(parts, data):
+    # no consumer re-checks a pair, so every producer must build coarsest
+    # ones; the engine's pair is one before its first step and at its
+    # fixpoint, while its working pair in between need not be a preorder
+    lts = Lts.from_ids(*parts)
+    n = lts.state_count
+    gen = data.draw(relation_bits(n))
+    start = coarsest_pair(gen.reflexive_transitive_closure())
+    pairs = [start, closure_pair(gen), refine_by_out(start, lts), PartitionRelationPair.full(n)]
+    pairs.append(start.restrict(data.draw(st.integers(0, n))))
+    for out_init, restrict_to_in, restrict_remove in itertools.product((True, False), repeat=3):
+        state = EngineState(
+            lts, start, out_init=out_init, restrict_to_in=restrict_to_in,
+            restrict_remove=restrict_remove,
+        )
+        pairs.append(state.current_pair())
+        while engine_step(state):
+            pass
+        pairs.append(state.current_pair())
+    ta = random_ta(
+        data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3)),
+        data.draw(st.integers(0, 16)), seed=data.draw(st.integers(0, 1 << 16)),
+    )
+    d = data.draw(relation_bits(ta.state_count)).reflexive_transitive_closure()
+    pairs += [
+        downward_translation(ta).initial,
+        downward_translation(ta, coarsest_pair(d)).initial,
+        upward_translation(ta, d).initial,
+    ]
+    for pair in pairs:
+        validate_coarsest(pair)
 
 
 # -- metamorphic relations: each engine against itself ---------------------------
