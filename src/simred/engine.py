@@ -29,7 +29,8 @@ two named corner configurations, and like :func:`run_engine` both return
 the final pair together with its run metrics.
 
 The initial pair is trusted: a :class:`PartitionRelationPair` is the
-coarsest pair of a preorder by construction, so no run checks it again.
+coarsest pair of a preorder by construction, so no run checks it again,
+and :meth:`EngineState.current_pair` hands out no pair that is not one.
 
 The engine reads the LTS's own per-symbol CSR arrays and ``in_mask``; the
 only tables it derives itself are the counter slots and the all-symbol
@@ -39,7 +40,7 @@ predecessor entries (``_Adjacency``).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -87,14 +88,7 @@ class SimMetrics:
     wall_time_ms: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "counters_allocated": self.counters_allocated,
-            "remove_enqueued": self.remove_enqueued,
-            "iterations": self.iterations,
-            "splits": self.splits,
-            "skipped_iterations": self.skipped_iterations,
-            "wall_time_ms": self.wall_time_ms,
-        }
+        return asdict(self)
 
 
 # counter initialization gathers at most about this many cells at a time
@@ -420,10 +414,10 @@ class EngineState:
         slice of the relation.  The predecessor entries of the Remove states
         are gathered once.  For each cut C, in ascending order, the entries
         of its cut D blocks whose symbol has a segment on C are decremented
-        together, and the slots found at zero and not yet in C's Remove sets
-        join them.  Activating only adds a symbol to C's pending set and
-        pushes C once, so the scheduling order and every metric equal those
-        of per-(C, D, b) updates.
+        together, and the slots found at zero join C's Remove sets.
+        Activating only adds a symbol to C's pending set and pushes C once,
+        so the scheduling order and every metric equal those of
+        per-(C, D, b) updates.
         """
         preds = self._preds_of(a, b_pre)
         if preds.size == 0 or d_blocks.size == 0:
@@ -449,7 +443,8 @@ class EngineState:
             live = cut[i][d_pos] & (base >= 0)
             flat = (base + slot)[live]
             np.subtract.at(cnt, flat, adj.one)
-            fresh = (cnt[flat] == 0) & ~rmv[flat]
+            # a decremented counter was >= 1, so its slot was in no Remove set
+            fresh = cnt[flat] == 0
             hit = flat[fresh]
             if not hit.size:
                 continue
@@ -461,9 +456,11 @@ class EngineState:
     # -- results and audits ---------------------------------------------------
 
     def current_pair(self) -> PartitionRelationPair:
-        """Snapshot of the live partition-relation pair: the coarsest pair of
-        a preorder before the first step and at the fixpoint, while in
-        between the working relation need not be transitive or coarsest."""
+        """The live pair, before the first step or once no Remove set is
+        pending; raises :class:`EngineError` in between, where the working
+        relation need not be a preorder."""
+        if self.metrics.iterations and any(self._pending):
+            raise EngineError("no pair while a Remove set is pending")
         nb = self._nb
         return _trusted_pair(self._block_of, self._rel[:nb, :nb])
 

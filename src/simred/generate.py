@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lts import Lts, build_lts
+from .lts import Lts
 from .relation import StateRelation
-from .tree import TreeAutomaton
+from .tree import TreeAutomaton, _trusted_ta
 
 __all__ = ["random_lts", "random_preorder", "random_ta", "menu_size"]
 
@@ -65,11 +65,7 @@ def random_lts(
 
     state_names = [f"s{i}" for i in range(n_states)]
     symbol_names = [f"a{i}" for i in range(n_symbols)]
-    return build_lts(
-        [(state_names[u], symbol_names[a], state_names[w]) for u, a, w in sorted(triples)],
-        states=state_names,
-        symbols=symbol_names,
-    )
+    return Lts.from_ids(state_names, symbol_names, sorted(triples))
 
 
 def random_preorder(n: int, *, edge_prob: float = 0.3, seed: int = 0) -> StateRelation:
@@ -102,10 +98,5 @@ def random_ta(
         tgt = int(rng.integers(0, n_states))
         rules.add((lhs, sym, tgt))
     finals = [q for q in range(n_states) if rng.random() < final_prob]
-    return TreeAutomaton(
-        [f"q{i}" for i in range(n_states)],
-        [f"f{i}" for i in range(n_symbols)],
-        ranks,
-        sorted(rules),
-        finals,
-    )
+    states, symbols = [f"q{i}" for i in range(n_states)], [f"f{i}" for i in range(n_symbols)]
+    return _trusted_ta(states, symbols, ranks, rules, finals)

@@ -44,9 +44,9 @@ class PartitionRelationPair:
     :meth:`from_labels`, the one public constructor, checks that; this
     module's producers (:meth:`full`, :meth:`restrict`,
     :func:`coarsest_pair`, :func:`closure_pair`, :func:`refine_by_out`) and
-    the engine and tree translations build pairs that hold it by
-    construction, so no consumer checks it again.  Only an engine snapshot
-    taken before the fixpoint (``EngineState.current_pair``) may break it.
+    the engines and tree translations build pairs that hold it by
+    construction (an engine hands out none mid-run), so no consumer checks
+    it again.
     """
 
     __slots__ = ("block_of", "rel", "members")

@@ -81,44 +81,52 @@ class TreeAutomaton:
     """Bottom-up tree automaton over a ranked alphabet.
 
     Rules are (lhs state tuple, symbol id, target id) with the lhs length
-    equal to the symbol's rank.
+    equal to the symbol's rank.  The constructor checks names, ranks and ids
+    and raises :class:`TreeError`; :func:`parse_timbuk`, :func:`ta_quotient`
+    and ``generate.random_ta`` build automata that are valid by construction
+    and check nothing.
     """
 
-    __slots__ = ("state_names", "symbol_names", "ranks", "rules", "finals",
-                 "_state_ids", "_symbol_ids")
+    __slots__ = ("state_names", "symbol_names", "ranks", "rules", "finals", "_state_ids")
 
     def __init__(self, state_names, symbol_names, ranks, rules, finals):
-        self.state_names = tuple(state_names)
-        self.symbol_names = tuple(symbol_names)
-        self.ranks = tuple(int(r) for r in ranks)
-        if len(self.ranks) != len(self.symbol_names):
+        state_names, symbol_names = tuple(state_names), tuple(symbol_names)
+        ranks = tuple(int(r) for r in ranks)
+        if len(ranks) != len(symbol_names):
             raise TreeError("one rank per symbol required")
-        self._state_ids = {s: i for i, s in enumerate(self.state_names)}
-        self._symbol_ids = {s: i for i, s in enumerate(self.symbol_names)}
-        if len(self._state_ids) != len(self.state_names):
+        if len(set(state_names)) != len(state_names):
             raise TreeError("duplicate state names")
-        if len(self._symbol_ids) != len(self.symbol_names):
+        if len(set(symbol_names)) != len(symbol_names):
             raise TreeError("duplicate symbol names")
-        nq = len(self.state_names)
-        norm = set()
+        nq = len(state_names)
+        norm = []
         for lhs, sym, tgt in rules:
             lhs = tuple(int(q) for q in lhs)
             sym, tgt = int(sym), int(tgt)
-            if not 0 <= sym < len(self.symbol_names):
+            if not 0 <= sym < len(symbol_names):
                 raise TreeError(f"symbol id {sym} out of range")
-            if len(lhs) != self.ranks[sym]:
+            if len(lhs) != ranks[sym]:
                 raise TreeError(
                     f"rule lhs length {len(lhs)} does not match rank "
-                    f"{self.ranks[sym]} of {self.symbol_names[sym]!r}"
+                    f"{ranks[sym]} of {symbol_names[sym]!r}"
                 )
             for q in lhs + (tgt,):
                 if not 0 <= q < nq:
                     raise TreeError(f"state id {q} out of range")
-            norm.add((lhs, sym, tgt))
-        self.rules = tuple(sorted(norm))
-        self.finals = frozenset(int(q) for q in finals)
-        if not self.finals <= set(range(nq)):
+            norm.append((lhs, sym, tgt))
+        finals = frozenset(int(q) for q in finals)
+        if not finals <= set(range(nq)):
             raise TreeError("final state id out of range")
+        self._store(state_names, symbol_names, ranks, norm, finals)
+
+    def _store(self, state_names, symbol_names, ranks, rules, finals) -> None:
+        """Store valid parts; duplicate rules and finals collapse, rules sort."""
+        self.state_names = tuple(state_names)
+        self.symbol_names = tuple(symbol_names)
+        self.ranks = tuple(ranks)
+        self.rules = tuple(sorted(set(rules)))
+        self.finals = frozenset(finals)
+        self._state_ids = {s: i for i, s in enumerate(self.state_names)}
 
     @property
     def state_count(self) -> int:
@@ -170,6 +178,14 @@ class TreeAutomaton:
         )
 
 
+def _trusted_ta(state_names, symbol_names, ranks, rules, finals) -> TreeAutomaton:
+    """:class:`TreeAutomaton` without the checks, for builders whose names,
+    ranks and ids are valid by construction; rules are (tuple, int, int)."""
+    ta = object.__new__(TreeAutomaton)
+    ta._store(state_names, symbol_names, ranks, rules, finals)
+    return ta
+
+
 # -- Timbuk text format ------------------------------------------------------
 
 
@@ -208,8 +224,7 @@ def parse_timbuk(text: str) -> TreeAutomaton:
         return line
 
     expect("Ops")
-    ranks: dict[str, int] = {}
-    symbol_names: list[str] = []
+    ranks: dict[str, int] = {}  # operator name -> rank, in declaration order
     while peek() is not None and peek() != "Automaton":
         tok, line = take()
         if ":" not in tok:
@@ -220,7 +235,6 @@ def parse_timbuk(text: str) -> TreeAutomaton:
         if name in ranks:
             raise TimbukParseError(line, f"duplicate operator {name!r}")
         ranks[name] = int(rank)
-        symbol_names.append(name)
     if peek() is None:
         raise TimbukParseError(tokens[-1][1] if tokens else 1, "missing Automaton section")
     expect("Automaton")
@@ -249,13 +263,12 @@ def parse_timbuk(text: str) -> TreeAutomaton:
         raise TimbukParseError(tokens[-1][1], "missing Transitions section")
     expect("Transitions")
 
-    symbol_ids = {s: i for i, s in enumerate(symbol_names)}
+    symbol_ids = {s: i for i, s in enumerate(ranks)}
     rules = []
     while pos < len(tokens):
         tok, line = take()
         if tok not in symbol_ids:
             raise TimbukParseError(line, f"undeclared symbol {tok!r}")
-        sym = symbol_ids[tok]
         lhs: list[int] = []
         if peek() == "(":
             take()
@@ -273,17 +286,14 @@ def parse_timbuk(text: str) -> TreeAutomaton:
         tgt_tok, tgt_line = take()
         if tgt_tok not in state_ids:
             raise TimbukParseError(tgt_line, f"undeclared state {tgt_tok!r}")
-        if len(lhs) != ranks[symbol_names[sym]]:
+        if len(lhs) != ranks[tok]:
             raise TimbukParseError(
                 line,
-                f"arity mismatch: {symbol_names[sym]!r} has rank "
-                f"{ranks[symbol_names[sym]]}, rule has {len(lhs)} arguments",
+                f"arity mismatch: {tok!r} has rank {ranks[tok]}, rule has {len(lhs)} arguments",
             )
-        rules.append((tuple(lhs), sym, state_ids[tgt_tok]))
+        rules.append((tuple(lhs), symbol_ids[tok], state_ids[tgt_tok]))
 
-    return TreeAutomaton(
-        list(state_ids), symbol_names, [ranks[s] for s in symbol_names], rules, finals
-    )
+    return _trusted_ta(state_ids, ranks, ranks.values(), rules, finals)
 
 
 def serialize_timbuk(ta: TreeAutomaton, name: str = "A") -> str:
@@ -502,4 +512,4 @@ def ta_quotient(ta: TreeAutomaton, pair: PartitionRelationPair) -> TreeAutomaton
     names = [min(ta.state_names[q] for q in m.tolist()) for m in pair.members]
     rules = {(tuple(block_of[q] for q in lhs), s, block_of[t]) for lhs, s, t in ta.rules}
     finals = {block_of[q] for q in ta.finals}
-    return TreeAutomaton(names, ta.symbol_names, ta.ranks, sorted(rules), finals)
+    return _trusted_ta(names, ta.symbol_names, ta.ranks, rules, finals)

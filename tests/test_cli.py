@@ -123,6 +123,10 @@ def test_sim_lts_metrics_side_channel(tmp_path, capsys):
     assert entries["algorithm"] == "olrt"
     assert entries["iterations"] == "0"
     assert entries["states"] == "3"
+    assert list(entries) == [
+        "algorithm", "counters_allocated", "remove_enqueued", "iterations", "splits",
+        "skipped_iterations", "wall_time_ms", "final_blocks", "states", "symbols", "transitions",
+    ]
 
 
 def test_sim_lts_output_into_missing_dir_exit_3(tmp_path, capsys):

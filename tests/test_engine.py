@@ -20,12 +20,14 @@ from simred import (
     olrt,
     run_engine,
     upward_translation,
+    validate_coarsest,
 )
 from simred.engine import _Adjacency
 from simred.generate import random_lts, random_preorder, random_ta
 from simred.partition import closure_pair
 
 LRT_FLAGS = dict(out_init=False, restrict_to_in=False, restrict_remove=False)
+FLAG_NAMES = ("out_init", "restrict_to_in", "restrict_remove")
 
 
 def full_init(n):
@@ -107,24 +109,57 @@ def test_step_l3_trace(l3):
     assert not engine_step(state)
 
 
+def working_relation(state):
+    # the engine's live relation on states; mid-run it need not be a preorder,
+    # so current_pair() refuses it and this reads the working arrays directly
+    return StateRelation(state._rel[np.ix_(state._block_of, state._block_of)])
+
+
 def test_stepping_monotone_and_bounded():
     for seed in range(25):
         n = 2 + seed % 6
         lts = random_lts(n, 2, edge_prob=0.4, seed=seed)
         init = coarsest_pair(random_preorder(n, edge_prob=0.5, seed=seed))
         state = EngineState(lts, init)
-        prev = state.current_pair().induced_relation()
+        prev = working_relation(state)
         oracle = max_simulation_naive(lts, init.induced_relation()).relation
         steps = 0
         bound = n * lts.symbol_count * n + n + 1
         while engine_step(state):
             steps += 1
             assert steps <= bound
-            cur = state.current_pair().induced_relation()
+            cur = working_relation(state)
             assert cur.issubset(prev)
             assert oracle.issubset(cur)  # always a superset of the fixpoint
             prev = cur
         assert prev == oracle
+
+
+def test_current_pair_is_coarsest_or_refused():
+    # a pair is handed out before the first step and once no Remove set is
+    # pending; between steps with one pending the call raises, since the
+    # working relation may be neither coarsest nor transitive there
+    refused = 0
+    for seed in range(300):
+        lts = random_lts(6, 2, n_edges=8, seed=seed)
+        for flags in itertools.product((True, False), repeat=3):
+            state = EngineState(lts, full_init(6), **dict(zip(FLAG_NAMES, flags)))
+            validate_coarsest(state.current_pair())
+            pending = False
+            while engine_step(state):
+                try:
+                    pair = state.current_pair()
+                except EngineError:
+                    refused += 1
+                    pending = True  # so the next step must progress
+                    continue
+                validate_coarsest(pair)
+                assert not engine_step(state)  # handed out mid-run only at the fixpoint
+                pending = False
+                break
+            assert not pending
+            validate_coarsest(state.current_pair())
+    assert refused
 
 
 # -- equivalence and variant sweeps ----------------------------------------------
@@ -387,7 +422,7 @@ def test_validate_coarsest_once_per_run(l3, monkeypatch):
     for engine in (olrt, lrt):
         engine(l3, init)
     for flags in itertools.product((True, False), repeat=3):
-        run_engine(l3, init, **dict(zip(("out_init", "restrict_to_in", "restrict_remove"), flags)))
+        run_engine(l3, init, **dict(zip(FLAG_NAMES, flags)))
     assert calls == []
 
 

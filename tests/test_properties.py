@@ -168,8 +168,8 @@ def test_every_engine_configuration_matches_the_oracle(case):
 @given(lts_parts(), st.data())
 def test_every_pair_the_package_builds_is_coarsest(parts, data):
     # no consumer re-checks a pair, so every producer must build coarsest
-    # ones; the engine's pair is one before its first step and at its
-    # fixpoint, while its working pair in between need not be a preorder
+    # ones; the engine hands its pair out before its first step and at its
+    # fixpoint only
     lts = Lts.from_ids(*parts)
     n = lts.state_count
     gen = data.draw(relation_bits(n))
@@ -233,6 +233,49 @@ def test_a_symbol_without_transitions_leaves_the_pair_unchanged(case, data):
     )
     for engine in (olrt, lrt):
         assert engine(wider, coarsest_pair(init))[0] == engine(lts, coarsest_pair(init))[0]
+
+
+@small
+@given(lts_and_preorder(), lts_and_preorder(), st.booleans())
+def test_each_part_of_a_disjoint_union_keeps_its_own_result(first, second, below):
+    # no transition crosses the parts, so the union's maximal simulation
+    # restricted to a part is that part's own; pairs across the parts are
+    # legitimate (a deadlock state is simulated by every state), so the
+    # result need not be block-diagonal, and the initial preorder may put
+    # all of the first part below the second
+    (lts1, init1), (lts2, init2) = first, second
+    n1, n2 = lts1.state_count, lts2.state_count
+    symbols = max(lts1.symbol_names, lts2.symbol_names, key=len)
+    union = Lts.from_ids(
+        lts1.state_names + tuple(f"t{i}" for i in range(n2)),
+        symbols,
+        np.concatenate([
+            np.column_stack([lts1.src, lts1.sym, lts1.dst]),
+            np.column_stack([n1 + lts2.src, lts2.sym, n1 + lts2.dst]),
+        ]),
+    )
+    init = np.zeros((n1 + n2, n1 + n2), dtype=bool)
+    init[:n1, :n1], init[n1:, n1:], init[:n1, n1:] = init1.matrix, init2.matrix, below
+    for engine in (olrt, lrt):
+        pair, _ = engine(union, coarsest_pair(StateRelation(init)))
+        whole = pair.induced_relation().matrix
+        assert pair.restrict(n1) == engine(lts1, coarsest_pair(init1))[0]
+        assert coarsest_pair(StateRelation(whole[n1:, n1:])) == engine(lts2, coarsest_pair(init2))[0]
+
+
+@small
+@given(lts_parts())
+@example(  # s2 has two successors in one Remove set: its counter falls by two
+    (["s0", "s1", "s2", "s3"], ["a0"], [(0, 0, 1), (2, 0, 1), (2, 0, 3)])
+)
+def test_quotienting_by_simulation_equivalence_is_idempotent(parts):
+    # the quotient's simulation preorder is a partial order, so quotienting
+    # it again collapses nothing
+    lts = Lts.from_ids(*parts)
+    for engine in (olrt, lrt):
+        once = quotient(lts, engine(lts, PartitionRelationPair.full(lts.state_count))[0])
+        twice = quotient(once, engine(once, PartitionRelationPair.full(once.state_count))[0])
+        assert twice == once
 
 
 # -- transitivity check against the full product -------------------------------

@@ -1,6 +1,15 @@
 import pytest
 
-from simred import TimbukParseError, TreeAutomaton, parse_timbuk, serialize_timbuk
+from simred import (
+    TimbukParseError,
+    TreeAutomaton,
+    TreeError,
+    downward_simulation,
+    parse_timbuk,
+    serialize_timbuk,
+    ta_quotient,
+)
+from simred.cli import main
 from simred.generate import random_ta
 
 
@@ -79,7 +88,66 @@ def test_canonicalization_idempotent(t1_text):
 
 
 def test_constructor_validates():
-    with pytest.raises(Exception, match="rank"):
-        TreeAutomaton(["q"], ["f"], [2], [((0,), 0, 0)], [])
-    with pytest.raises(Exception, match="out of range"):
-        TreeAutomaton(["q"], ["f"], [1], [((5,), 0, 0)], [])
+    # the public constructor is where a hand-built automaton is checked
+    cases = [
+        ((["q"], ["f", "g"], [0], [], []), "one rank per symbol required"),
+        ((["q", "q"], ["f"], [0], [], []), "duplicate state names"),
+        ((["q"], ["f", "f"], [0, 0], [], []), "duplicate symbol names"),
+        ((["q"], ["f"], [0], [((), 1, 0)], []), "symbol id 1 out of range"),
+        ((["q"], ["f"], [0], [((), -1, 0)], []), "symbol id -1 out of range"),
+        ((["q"], ["f"], [2], [((0,), 0, 0)], []), "rule lhs length 1 does not match rank 2 of 'f'"),
+        ((["q"], ["f"], [1], [((5,), 0, 0)], []), "state id 5 out of range"),
+        ((["q"], ["f"], [0], [((), 0, -1)], []), "state id -1 out of range"),
+        ((["q"], ["f"], [0], [((), 0, 0)], [1]), "final state id out of range"),
+    ]
+    for args, message in cases:
+        with pytest.raises(TreeError) as err:
+            TreeAutomaton(*args)
+        assert str(err.value) == message
+
+
+HEAD = "Ops a:0 g:1\nAutomaton A\nStates q0 q1\nFinal States q1\nTransitions\na -> q0\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("Opz a:0\n", 1, "expected 'Ops', got 'Opz'"),
+    ("Ops a\n", 1, "expected name:rank, got 'a'"),
+    ("Ops a:x\n", 1, "malformed operator declaration 'a:x'"),
+    ("Ops a:0 a:1\n", 1, "duplicate operator 'a'"),
+    ("Ops a:0\nAutomaton", 2, "unexpected end of input"),
+    ("Ops a:0\nAutomaton A\nStates q!\n", 3, "invalid state name 'q!'"),
+    ("Ops a:0\nAutomaton A\nStates q q\n", 3, "duplicate state 'q'"),
+    ("Ops a:0\nAutomaton A\nStates q\nFinal States zz\n", 4, "undeclared state 'zz'"),
+    (HEAD + "b -> q0\n", 7, "undeclared symbol 'b'"),
+    (HEAD + "g(q0 -> q1\n", 7, "undeclared state '->'"),
+    (HEAD + "g(zz) -> q1\n", 7, "undeclared state 'zz'"),
+    (HEAD + "g(q0) -> zz\n", 7, "undeclared state 'zz'"),
+    (HEAD + "g(q0) q1\n", 7, "expected '->', got 'q1'"),
+    (HEAD + "g(q0,\nq1) -> q1\n", 7, "arity mismatch: 'g' has rank 1, rule has 2 arguments"),
+    (HEAD + "\ng(q0) ->", 8, "unexpected end of input"),
+])
+def test_parse_error_messages_and_lines(text, line, message):
+    # the parser is where a Timbuk automaton is checked, token by token
+    with pytest.raises(TimbukParseError) as err:
+        parse_timbuk(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_builders_never_enter_the_checked_constructor(monkeypatch, tmp_path, capsys, t1_text):
+    # parse_timbuk, random_ta and ta_quotient build valid automata by
+    # construction, so neither they nor the tree commands re-check one
+    def refuse(self, *args):
+        raise AssertionError("TreeAutomaton.__init__ entered")
+
+    monkeypatch.setattr(TreeAutomaton, "__init__", refuse)
+    t1 = parse_timbuk(t1_text)
+    ta = random_ta(6, 3, 2, 14, seed=3)
+    assert ta_quotient(ta, downward_simulation(ta)).state_count <= ta.state_count
+    assert ta_quotient(t1, downward_simulation(t1)).state_count <= t1.state_count
+    path = tmp_path / "in.tmb"
+    path.write_text(serialize_timbuk(ta))
+    for command in ("ta-down", "ta-up", "minimize"):
+        for algo in ("olrt", "lrt", "oracle"):
+            assert main([command, str(path), "--algo", algo]) == 0
+    capsys.readouterr()
