@@ -12,7 +12,8 @@ boolean arena: the (block, symbol) pair owns the segment that starts at
 ``off[block, symbol]`` (-1 when unallocated), one cell per state that can
 carry the counter.  Each loop iteration takes one pending (block B, symbol a)
 Remove set, splits the partition so that Remove is a union of blocks D
-(one ``bincount`` finds the blocks it cuts), cuts every relation pair (C, D)
+(a boolean mark finds the blocks it touches, and a bin count, taken only
+when it cuts one, the blocks it cuts), cuts every relation pair (C, D)
 with C holding an a-predecessor of B, and decrements the counters of each
 cut C with one scatter over the predecessor entries of its cut D blocks, all
 symbols at once, followed by one zero scan.  Counters only fall, so the
@@ -106,8 +107,16 @@ def _row_index(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray | slice:
         return slice(indptr[r], indptr[r + 1])
     starts = indptr[rows]
     lens = indptr[rows + 1] - starts
-    out_starts = np.cumsum(lens) - lens
+    out_starts = lens.cumsum() - lens
     return np.repeat(starts - out_starts, lens) + np.arange(int(lens.sum()))
+
+
+def _marked(ids: np.ndarray, n: int) -> np.ndarray:
+    """The distinct ``ids`` (each in 0..n-1), ascending; a boolean mark
+    scans n bytes where a bin count scans n int64 counts."""
+    mark = np.zeros(n, dtype=bool)
+    mark[ids] = True
+    return mark.nonzero()[0]
 
 
 def _grown(arr: np.ndarray, cap: int, used: int) -> np.ndarray:
@@ -337,7 +346,7 @@ class EngineState:
         self._pending[bid].discard(a)
         mask = self._rmv[self._segment(bid, a)]
         slots = mask.nonzero()[0]
-        mask[slots] = False
+        mask[:] = False
         remove = self._adj.slot_state[a][slots]  # ascending, like the slots
         b_pre = self._members[bid]  # snapshot: split replaces member arrays
         self.metrics.iterations += 1
@@ -358,12 +367,11 @@ class EngineState:
         ascending."""
         nb = self._nb
         owners = self._block_of[remove]
-        hits = np.bincount(owners, minlength=nb)
-        touched = hits.nonzero()[0]
+        touched = _marked(owners, nb)
         sizes = self._bsize[touched]
         if sizes.sum() == len(remove):
             return touched  # every touched block lies inside Remove
-        cut = hits[touched] != sizes
+        cut = np.bincount(owners, minlength=nb)[touched] != sizes
         metrics = self.metrics
         width = self._adj.width
         for pb in touched[cut].tolist():
@@ -422,9 +430,9 @@ class EngineState:
         preds = self._preds_of(a, b_pre)
         if preds.size == 0 or d_blocks.size == 0:
             return
-        c_blocks = np.bincount(self._block_of[preds], minlength=self._nb).nonzero()[0]
+        c_blocks = _marked(self._block_of[preds], self._nb)
         cut = self._rel[c_blocks[:, None], d_blocks]
-        rows, cols = np.nonzero(cut)
+        rows, cols = cut.nonzero()
         if rows.size == 0:
             return
         self._rel[c_blocks[rows], d_blocks[cols]] = False

@@ -1,11 +1,17 @@
 """Labeled transition systems with dense state and symbol ids.
 
 States and symbols are interned to dense integers when the system is built.
-An :class:`Lts` has one representation, built once by :meth:`Lts.from_ids`:
-the deduplicated transitions as immutable id arrays sorted by (symbol, src,
-dst), per-symbol forward and backward CSR offsets over them, and the derived
+An :class:`Lts` has one representation, built once: the deduplicated
+transitions as immutable id arrays sorted by (symbol, src, dst), per-symbol
+forward and backward CSR offsets over them, and the derived
 ``out_mask``/``in_mask`` (state emits / is entered by a symbol).  Every layer
 reads these arrays; nothing rebuilds adjacency.
+
+An :class:`Lts` is checked once, where it is built: :meth:`Lts.from_ids`,
+the one checked constructor, accepts only names the text formats can carry
+and ids in range.  :func:`parse_lts`, :func:`quotient`,
+``generate.random_lts`` and the tree translations build systems that are
+valid by construction through ``_trusted_lts`` and check nothing.
 """
 
 from __future__ import annotations
@@ -83,22 +89,21 @@ class Lts:
     @classmethod
     def from_ids(cls, state_names, symbol_names, transitions) -> "Lts":
         """Build from (src_id, symbol_id, dst_id) triples, given as an
-        iterable or an (E, 3) array; duplicates collapse."""
-        self = object.__new__(cls)
-        self.state_names = tuple(state_names)
-        self.symbol_names = tuple(symbol_names)
-        self._state_ids = {name: i for i, name in enumerate(self.state_names)}
-        self._symbol_ids = {name: i for i, name in enumerate(self.symbol_names)}
-        if len(self._state_ids) != len(self.state_names):
-            raise LtsError("duplicate state names")
-        if len(self._symbol_ids) != len(self.symbol_names):
-            raise LtsError("duplicate symbol names")
-        n, m = len(self.state_names), len(self.symbol_names)
+        iterable or an (E, 3) array; duplicates collapse.
 
-        t = np.asarray(
-            transitions if isinstance(transitions, np.ndarray) else list(transitions),
-            dtype=np.int64,
-        ).reshape(-1, 3)
+        The one checked constructor: every name must be a distinct ``str``
+        that :data:`IDENTIFIER_RE` matches, so both text formats can carry
+        it, and every id must be in range; raises :class:`LtsError`.
+        """
+        state_names, symbol_names = tuple(state_names), tuple(symbol_names)
+        _check_names(state_names, "state", LtsError)
+        _check_names(symbol_names, "symbol", LtsError)
+        if len(set(state_names)) != len(state_names):
+            raise LtsError("duplicate state names")
+        if len(set(symbol_names)) != len(symbol_names):
+            raise LtsError("duplicate symbol names")
+        n, m = len(state_names), len(symbol_names)
+        t = _id_array(transitions)
         u, a, w = t[:, 0], t[:, 1], t[:, 2]
         bad_state = (u < 0) | (u >= n) | (w < 0) | (w >= n)
         bad = bad_state | (a < 0) | (a >= m)
@@ -106,32 +111,7 @@ class Lts:
             i = int(np.flatnonzero(bad)[0])
             kind = "state" if bad_state[i] else "symbol"
             raise LtsError(f"{kind} id out of range in transition ({u[i]},{a[i]},{w[i]})")
-
-        # sorting key (symbol, src, dst), sorted and deduplicated by hand:
-        # np.unique would import all of numpy.ma on its first call
-        nn = max(n, 1)
-        key = np.sort((a * nn + u) * nn + w)
-        fresh = np.ones(len(key), dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=fresh[1:])
-        sym, rest = np.divmod(key[fresh], nn * nn)
-        src, dst = np.divmod(rest, nn)
-        self.src, self.sym, self.dst = _frozen(src), _frozen(sym), _frozen(dst)
-
-        sym_start = np.searchsorted(sym, np.arange(m + 1))
-        self.succ_indptr = _row_offsets(sym * n + src, n, m)
-        self.succ_data = tuple(dst[sym_start[b] : sym_start[b + 1]] for b in range(m))
-        by_dst = np.lexsort((src, dst, sym))
-        self.pred_indptr = _row_offsets(sym * n + dst, n, m)
-        pred_src = _frozen(src[by_dst])
-        self.pred_data = tuple(pred_src[sym_start[b] : sym_start[b + 1]] for b in range(m))
-
-        self.out_mask = np.zeros((n, m), dtype=bool)
-        self.out_mask[src, sym] = True
-        self.in_mask = np.zeros((n, m), dtype=bool)
-        self.in_mask[dst, sym] = True
-        _frozen(self.out_mask)
-        _frozen(self.in_mask)
-        return self
+        return _trusted_lts(state_names, symbol_names, t)
 
     @property
     def state_count(self) -> int:
@@ -190,40 +170,83 @@ class Lts:
         )
 
 
+def _check_names(names, kind: str, error, reserved=()) -> None:
+    """Raise ``error`` at the first name that is not a ``str`` matched by
+    :data:`IDENTIFIER_RE`, or is ``reserved``: a name the text formats
+    cannot carry."""
+    for name in names:
+        if not isinstance(name, str) or not IDENTIFIER_RE.match(name) or name in reserved:
+            raise error(f"invalid {kind} name {name!r}")
+
+
+def _id_array(transitions) -> np.ndarray:
+    return np.asarray(
+        transitions if isinstance(transitions, np.ndarray) else list(transitions),
+        dtype=np.int64,
+    ).reshape(-1, 3)
+
+
+def _trusted_lts(state_names, symbol_names, transitions) -> Lts:
+    """:meth:`Lts.from_ids` without the checks, for builders whose names
+    are distinct and whose ids are in range by construction.  The tree
+    translations' encoding LTSs use it for names outside the text formats'
+    identifier rule."""
+    lts = object.__new__(Lts)
+    lts.state_names = tuple(state_names)
+    lts.symbol_names = tuple(symbol_names)
+    lts._state_ids = {name: i for i, name in enumerate(lts.state_names)}
+    lts._symbol_ids = {name: i for i, name in enumerate(lts.symbol_names)}
+    n, m = len(lts.state_names), len(lts.symbol_names)
+    t = _id_array(transitions)
+    u, a, w = t[:, 0], t[:, 1], t[:, 2]
+
+    # sorting key (symbol, src, dst), sorted and deduplicated by hand:
+    # np.unique would import all of numpy.ma on its first call
+    nn = max(n, 1)
+    key = np.sort((a * nn + u) * nn + w)
+    fresh = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    sym, rest = np.divmod(key[fresh], nn * nn)
+    src, dst = np.divmod(rest, nn)
+    lts.src, lts.sym, lts.dst = _frozen(src), _frozen(sym), _frozen(dst)
+
+    sym_start = np.searchsorted(sym, np.arange(m + 1))
+    lts.succ_indptr = _row_offsets(sym * n + src, n, m)
+    lts.succ_data = tuple(dst[sym_start[b] : sym_start[b + 1]] for b in range(m))
+    by_dst = np.lexsort((src, dst, sym))
+    lts.pred_indptr = _row_offsets(sym * n + dst, n, m)
+    pred_src = _frozen(src[by_dst])
+    lts.pred_data = tuple(pred_src[sym_start[b] : sym_start[b + 1]] for b in range(m))
+
+    lts.out_mask = np.zeros((n, m), dtype=bool)
+    lts.out_mask[src, sym] = True
+    lts.in_mask = np.zeros((n, m), dtype=bool)
+    lts.in_mask[dst, sym] = True
+    _frozen(lts.out_mask)
+    _frozen(lts.in_mask)
+    return lts
+
+
 def build_lts(transitions, states=(), symbols=()) -> Lts:
     """Intern names and build an :class:`Lts` from (src, label, dst) name triples.
 
     Dense ids are assigned in first-appearance order, with explicitly declared
     ``states``/``symbols`` interned first.  Duplicate transitions collapse.
+    :meth:`Lts.from_ids` checks the names.
     """
-    state_names: list[str] = []
-    symbol_names: list[str] = []
-    state_ids: dict[str, int] = {}
-    symbol_ids: dict[str, int] = {}
-
-    def intern(name, ids, names, kind):
-        if not isinstance(name, str) or not name:
-            raise LtsError(f"{kind} name must be a nonempty string, got {name!r}")
-        if name not in ids:
-            ids[name] = len(names)
-            names.append(name)
-        return ids[name]
-
-    for s in states:
-        intern(s, state_ids, state_names, "state")
-    for s in symbols:
-        intern(s, symbol_ids, symbol_names, "symbol")
-
-    triples = []
-    for src, label, dst in transitions:
-        u = intern(src, state_ids, state_names, "state")
-        a = intern(label, symbol_ids, symbol_names, "symbol")
-        w = intern(dst, state_ids, state_names, "state")
-        triples.append((u, a, w))
-
-    if not state_names:
+    state_ids = {name: i for i, name in enumerate(dict.fromkeys(states))}
+    symbol_ids = {name: i for i, name in enumerate(dict.fromkeys(symbols))}
+    triples = [
+        (
+            state_ids.setdefault(src, len(state_ids)),
+            symbol_ids.setdefault(label, len(symbol_ids)),
+            state_ids.setdefault(dst, len(state_ids)),
+        )
+        for src, label, dst in transitions
+    ]
+    if not state_ids:
         raise LtsError("empty system: no transitions and no declared states")
-    return Lts.from_ids(state_names, symbol_names, triples)
+    return Lts.from_ids(state_ids, symbol_ids, triples)
 
 
 def out_preorder(lts: Lts) -> StateRelation:
@@ -258,7 +281,7 @@ def quotient(lts: Lts, pair) -> Lts:
         raise LtsError("partition does not cover this LTS's states")
     block_names = [min(lts.state_names[v] for v in m.tolist()) for m in pair.members]
     triples = np.column_stack([pair.block_of[lts.src], lts.sym, pair.block_of[lts.dst]])
-    return Lts.from_ids(block_names, lts.symbol_names, triples)
+    return _trusted_lts(block_names, lts.symbol_names, triples)
 
 
 # -- text formats ----------------------------------------------------------
@@ -323,7 +346,7 @@ def parse_lts(text: str) -> Lts:
     symbols, sym = _interned(tokens[1::3])
     del tokens[1::3]  # sources and targets, interleaved in input order
     states, ends = _interned(tokens)
-    return Lts.from_ids(states, symbols, np.column_stack([ends[0::2], sym, ends[1::2]]))
+    return _trusted_lts(states, symbols, np.column_stack([ends[0::2], sym, ends[1::2]]))
 
 
 def serialize_lts(lts: Lts) -> str:

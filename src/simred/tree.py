@@ -5,7 +5,11 @@ The downward reduction adds one LTS state per automaton state and per
 distinct rule left-hand side; the upward reduction adds one per automaton
 state and per distinct environment (a rule with one left-hand-side position
 replaced by a hole).  Position labels form their own id range after the
-ranked alphabet, so they can never collide with user symbols.
+ranked alphabet, so they can never collide with user symbols.  The nodes'
+names, such as ``(q0,q1)``, and the position labels ``#1``, ``#2``, ... lie
+outside the identifier rule of the text formats on purpose, so they can
+never collide with user names either: these encoding LTSs are built
+unchecked and are not meant for text I/O.
 
 Each translation also returns the coarsest partition-relation pair of its
 initial preorder, built from one block label per LTS state without an n x n
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lts import IDENTIFIER_RE, Lts
+from .lts import IDENTIFIER_RE, Lts, _check_names, _trusted_lts
 from .partition import PartitionRelationPair, _trusted_pair, coarsest_pair
 from .relation import RelationError, StateRelation
 
@@ -41,6 +45,10 @@ __all__ = [
 ]
 
 HOLE = "□"  # printed in environment descriptions
+
+# the text format lists states up to the word Final and final states up to
+# Transitions, so it cannot carry a state of either name
+_RESERVED_STATE_NAMES = ("Final", "Transitions")
 
 
 class TreeError(ValueError):
@@ -82,15 +90,20 @@ class TreeAutomaton:
 
     Rules are (lhs state tuple, symbol id, target id) with the lhs length
     equal to the symbol's rank.  The constructor checks names, ranks and ids
-    and raises :class:`TreeError`; :func:`parse_timbuk`, :func:`ta_quotient`
-    and ``generate.random_ta`` build automata that are valid by construction
-    and check nothing.
+    and raises :class:`TreeError`: every name must be a ``str`` that
+    ``IDENTIFIER_RE`` matches, and no state may be named ``Final`` or
+    ``Transitions``, so :func:`serialize_timbuk` writes text that
+    :func:`parse_timbuk` reads back.  :func:`parse_timbuk`,
+    :func:`ta_quotient` and ``generate.random_ta`` build automata that are
+    valid by construction and check nothing.
     """
 
     __slots__ = ("state_names", "symbol_names", "ranks", "rules", "finals", "_state_ids")
 
     def __init__(self, state_names, symbol_names, ranks, rules, finals):
         state_names, symbol_names = tuple(state_names), tuple(symbol_names)
+        _check_names(state_names, "state", TreeError, _RESERVED_STATE_NAMES)
+        _check_names(symbol_names, "symbol", TreeError)
         ranks = tuple(int(r) for r in ranks)
         if len(ranks) != len(symbol_names):
             raise TreeError("one rank per symbol required")
@@ -244,7 +257,7 @@ def parse_timbuk(text: str) -> TreeAutomaton:
     state_ids: dict[str, int] = {}
     while peek() is not None and peek() != "Final":
         tok, line = take()
-        if not IDENTIFIER_RE.match(tok):
+        if not IDENTIFIER_RE.match(tok) or tok in _RESERVED_STATE_NAMES:
             raise TimbukParseError(line, f"invalid state name {tok!r}")
         if tok in state_ids:
             raise TimbukParseError(line, f"duplicate state {tok!r}")
@@ -462,7 +475,7 @@ def _translation(ta, kind, nodes, node_names, triples, states, others) -> Transl
     with the initial pair whose blocks are those of ``states`` and then
     those of ``others``, each a (labels, relation); no pair crosses them."""
     symbol_names = list(ta.symbol_names) + [f"#{i}" for i in range(1, ta.max_rank + 1)]
-    lts = Lts.from_ids(list(ta.state_names) + node_names, symbol_names, list(triples))
+    lts = _trusted_lts(list(ta.state_names) + node_names, symbol_names, list(triples))
     (labels, rel), (node_labels, node_rel) = states, others
     k, kn = len(rel), len(node_rel)
     both = np.zeros((k + kn, k + kn), dtype=bool)

@@ -16,7 +16,9 @@ from simred import (
     serialize_lts,
     serialize_relation,
 )
-from simred.generate import random_lts
+from simred.cli import main
+from simred.generate import random_lts, random_ta
+from simred.tree import downward_translation, serialize_timbuk, upward_translation
 
 
 def names(lts, ids):
@@ -223,7 +225,70 @@ def test_relation_file_errors(l1):
 
 
 def test_lts_from_ids_range_checks():
-    with pytest.raises(LtsError):
-        Lts.from_ids(["x"], ["a"], [(0, 0, 5)])
-    with pytest.raises(LtsError):
-        Lts.from_ids(["x"], ["a"], [(0, 3, 0)])
+    # the public constructor is where a hand-built LTS is checked
+    cases = [
+        ((["x", "x"], ["a"], []), "duplicate state names"),
+        ((["x"], ["a", "a"], []), "duplicate symbol names"),
+        ((["x"], ["a"], [(0, 0, 5)]), "state id out of range in transition (0,0,5)"),
+        ((["x"], ["a"], [(-1, 0, 0)]), "state id out of range in transition (-1,0,0)"),
+        ((["x"], ["a"], [(0, 3, 0)]), "symbol id out of range in transition (0,3,0)"),
+        ((["x y"], ["a"], []), "invalid state name 'x y'"),
+        ((["x"], [""], []), "invalid symbol name ''"),
+        (([1], ["a"], []), "invalid state name 1"),
+        ((["(q0)"], ["#1"], []), "invalid state name '(q0)'"),
+    ]
+    for args, message in cases:
+        with pytest.raises(LtsError) as err:
+            Lts.from_ids(*args)
+        assert str(err.value) == message
+
+
+def test_build_lts_checks_names_through_from_ids():
+    for triple, message in (
+        (("a b", "x", "c"), "invalid state name 'a b'"),
+        (("a", "x", ""), "invalid state name ''"),
+        (("a", "x#", "c"), "invalid symbol name 'x#'"),
+        (("a", None, "c"), "invalid symbol name None"),
+    ):
+        with pytest.raises(LtsError) as err:
+            build_lts([triple])
+        assert str(err.value) == message
+    with pytest.raises(LtsError, match="invalid state name 'p q'"):
+        build_lts([], states=["p q"])
+
+
+def test_builders_never_enter_the_checked_constructor(monkeypatch, tmp_path, capsys):
+    # parse_lts, quotient, random_lts and the tree translations build valid
+    # systems by construction, so neither they nor any command re-checks one
+    def refuse(*args):
+        raise AssertionError("Lts.from_ids entered")
+
+    monkeypatch.setattr(Lts, "from_ids", refuse)
+    lts = parse_lts("p a q\nq b q\nr a q\n")
+    assert quotient(lts, coarsest_pair(StateRelation.full(3))).state_count == 1
+    assert random_lts(30, 3, n_edges=90, seed=1).state_count == 30
+    ta = random_ta(6, 3, 2, 14, seed=3)
+    assert downward_translation(ta).lts.state_count >= ta.state_count
+    assert upward_translation(ta, StateRelation.identity(6)).lts.state_count >= ta.state_count
+    lts_path, ta_path = tmp_path / "in.lts", tmp_path / "in.tmb"
+    lts_path.write_text(serialize_lts(random_lts(30, 3, n_edges=90, seed=1)))
+    ta_path.write_text(serialize_timbuk(ta))
+    rel_path = tmp_path / "in.rel"
+    rel_path.write_text("s0 s1\ns1 s0\n")
+    for algo in ("olrt", "lrt", "oracle"):
+        for argv in (
+            ["sim-lts", str(lts_path)],
+            ["sim-lts", str(lts_path), "--format", "blocks", "--init", str(rel_path), "--closure"],
+            ["minimize", str(lts_path)],
+            ["ta-down", str(ta_path)],
+            ["ta-up", str(ta_path)],
+            ["minimize", str(ta_path)],
+        ):
+            assert main(argv + ["--algo", algo]) == 0, argv
+    capsys.readouterr()
+    monkeypatch.undo()
+    # without the patch, the public constructors still check
+    with pytest.raises(LtsError, match="state id out of range"):
+        Lts.from_ids(["x"], ["a"], [(0, 0, 1)])
+    with pytest.raises(LtsError, match="invalid state name"):
+        build_lts([("a b", "x", "c")])

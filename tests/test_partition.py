@@ -204,3 +204,14 @@ def test_refine_by_out_equals_coarsest_of_intersection():
         intersected = StateRelation(rho.matrix & out_preorder(lts).matrix)
         assert refined == coarsest_pair(intersected)
         assert refined.induced_relation() == intersected
+
+
+def test_refine_by_out_over_nine_bytes_of_symbols():
+    # 70 symbols pack into nine bytes, the last one partial; sparse menus
+    # make output sets that differ in one byte only
+    for seed in range(12):
+        n = 12 + 3 * seed
+        lts = random_lts(n, 70, n_edges=4 * n, sparsity=[0.03, 0.1, 0.5][seed % 3], seed=seed)
+        rho = random_preorder(n, edge_prob=[0.0, 0.05, 0.3][seed % 3], seed=seed + 2000)
+        intersected = StateRelation(rho.matrix & out_preorder(lts).matrix)
+        assert refine_by_out(coarsest_pair(rho), lts) == coarsest_pair(intersected)

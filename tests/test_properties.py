@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from simred import (  # noqa: E402
     EngineState,
     Lts,
+    LtsError,
     LtsParseError,
     PartitionError,
     PartitionRelationPair,
@@ -35,6 +36,14 @@ from simred import (  # noqa: E402
     serialize_relation,
     upward_translation,
     validate_coarsest,
+)
+from simred.tree import (  # noqa: E402
+    TreeAutomaton,
+    TreeError,
+    downward_simulation,
+    parse_timbuk,
+    serialize_timbuk,
+    ta_quotient,
 )
 from simred.generate import random_ta  # noqa: E402
 from simred.lts import IDENTIFIER_RE, build_lts  # noqa: E402
@@ -276,6 +285,144 @@ def test_quotienting_by_simulation_equivalence_is_idempotent(parts):
         once = quotient(lts, engine(lts, PartitionRelationPair.full(lts.state_count))[0])
         twice = quotient(once, engine(once, PartitionRelationPair.full(once.state_count))[0])
         assert twice == once
+
+
+# -- the downward quotient keeps the language ------------------------------------
+
+
+def reached_sets(tas, depth):
+    """For each tree of depth at most ``depth`` (a leaf has depth 1) over
+    the automata's shared ranked alphabet, the tuple of the state sets it
+    reaches in each automaton.  Two trees with the same tuple are
+    interchangeable as subtrees, so the tuples of one depth combine into
+    those of the next."""
+    reached = set()
+    for _ in range(depth):
+        grown = set(reached)
+        for f, rank in enumerate(tas[0].ranks):
+            for children in itertools.product(reached, repeat=rank):
+                grown.add(tuple(
+                    frozenset(
+                        tgt for lhs, sym, tgt in ta.rules
+                        if sym == f and all(q in child[i] for q, child in zip(lhs, children))
+                    )
+                    for i, ta in enumerate(tas)
+                ))
+        reached = grown
+    return reached
+
+
+@small
+@given(st.integers(2, 6), st.integers(2, 4), st.integers(1, 2), st.integers(6, 30),
+       st.integers(0, 1 << 16))
+def test_downward_quotient_accepts_the_same_trees(n_states, n_symbols, max_rank, n_rules, seed):
+    # every block reaches a tree iff one of its states does, so the
+    # quotient accepts a tree iff the automaton does
+    ta = random_ta(n_states, n_symbols, max_rank, n_rules, seed=seed)
+    pair = downward_simulation(ta)
+    small_ta = ta_quotient(ta, pair)
+    for here, there in reached_sets((ta, small_ta), 3):
+        assert there == {int(pair.block_of[q]) for q in here}
+        assert bool(here & ta.finals) == bool(there & small_ta.finals)
+
+
+# -- names: accepted iff the text formats carry them ------------------------------
+
+
+NAMES = st.one_of(
+    st.text("ab_.-0 #\t\n(),:\xe9", max_size=3),
+    st.sampled_from(["Final", "Transitions", "States", "Ops", "(q0)", "#1", 1, None]),
+)
+
+
+def carried(name):
+    return isinstance(name, str) and IDENTIFIER_RE.match(name) is not None
+
+
+def named_transitions(lts):
+    names, symbols = lts.state_names, lts.symbol_names
+    return {(names[u], symbols[a], names[w]) for u, a, w in lts.transitions()}
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    st.lists(NAMES, min_size=1, max_size=4, unique=True),
+    st.lists(NAMES, min_size=1, max_size=3, unique=True),
+    st.data(),
+)
+@example(["a b", "c"], ["x"], None)  # one LTS line of four tokens
+@example(["a b", ""], ["f"], None)  # "States  a b": one name vanishes, one splits
+@example(["q", "Final"], ["f"], None)  # ends the States list early
+@example(["Transitions", "q"], ["f"], None)  # ends the Final States list early
+def test_a_name_is_accepted_iff_the_text_formats_carry_it(states, symbols, data):
+    n, m = len(states), len(symbols)
+    if data is None:
+        triples = [(0, 0, n - 1)]
+    else:
+        triple = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1), st.integers(0, n - 1))
+        triples = data.draw(st.lists(triple, min_size=1, max_size=6))
+    ok = all(map(carried, states + symbols))
+
+    lts = outcome(Lts.from_ids, states, symbols, triples)
+    built = outcome(build_lts, [(states[u], symbols[a], states[w]) for u, a, w in triples],
+                    states, symbols)
+    if ok:
+        assert named_transitions(parse_lts(serialize_lts(lts))) == named_transitions(lts)
+        assert built == lts
+    else:
+        assert lts[0] is built[0] is LtsError
+        assert lts[2].startswith("invalid ") and built[2].startswith("invalid ")
+
+    # rank a % 3; rule (u, a, w) has w at every position and u as target
+    ranks = [a % 3 for a in range(m)]
+    rules = [((w,) * ranks[a], a, u) for u, a, w in triples]
+    ta = outcome(TreeAutomaton, states, symbols, ranks, rules, [0])
+    if ok and not {"Final", "Transitions"} & set(states):
+        assert parse_timbuk(serialize_timbuk(ta)) == ta
+    else:
+        assert ta[0] is TreeError and ta[2].startswith("invalid ")
+
+
+# -- coarsest_pair checks a preorder on its row classes ---------------------------
+
+
+def reference_coarsest_pair(rho):
+    """The grouping after the dense preorder check."""
+    rho.require_preorder("initial relation")
+    m = rho.matrix
+    if not m.size:
+        return PartitionRelationPair.full(0)
+    _, first, label = np.unique(m, axis=0, return_index=True, return_inverse=True)
+    return PartitionRelationPair.from_labels(label.ravel(), m[np.ix_(first, first)])
+
+
+@st.composite
+def near_preorders(draw):
+    """Random relations, as drawn, made reflexive or closed, with up to two
+    entries flipped."""
+    n = draw(st.integers(0, 8))
+    m = draw(relation_bits(n)).matrix
+    made = draw(st.sampled_from(["drawn", "reflexive", "closed", "closed"]))
+    if made == "reflexive":
+        m |= np.eye(n, dtype=bool)
+    elif made == "closed":
+        m = StateRelation(m).reflexive_transitive_closure().matrix
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m[u, v] = not m[u, v]
+    return StateRelation(m)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(near_preorders())
+# rows 0 and 1 are equal and the class relation is a preorder, but the
+# columns of 0 and 1 differ: (2,0) and (0,1) without (2,1)
+@example(StateRelation(np.array([[1, 1, 0], [1, 1, 0], [1, 0, 1]], dtype=bool)))
+@example(StateRelation(np.array([[1, 1, 0]] * 3, dtype=bool)))  # one row class, not full
+@example(StateRelation.full(4))
+@example(StateRelation.identity(0))
+def test_coarsest_pair_matches_the_dense_check(rho):
+    assert outcome(coarsest_pair, rho) == outcome(reference_coarsest_pair, rho)
 
 
 # -- transitivity check against the full product -------------------------------

@@ -99,6 +99,13 @@ def test_constructor_validates():
         ((["q"], ["f"], [1], [((5,), 0, 0)], []), "state id 5 out of range"),
         ((["q"], ["f"], [0], [((), 0, -1)], []), "state id -1 out of range"),
         ((["q"], ["f"], [0], [((), 0, 0)], [1]), "final state id out of range"),
+        ((["a b", ""], ["f"], [0], [((), 0, 0)], [0]), "invalid state name 'a b'"),
+        ((["q"], ["f:1"], [1], [], []), "invalid symbol name 'f:1'"),
+        ((["q", 7], ["f"], [0], [], []), "invalid state name 7"),
+        # the text format's States list ends at Final, its Final States list
+        # at Transitions
+        ((["q", "Final"], ["f"], [0], [], []), "invalid state name 'Final'"),
+        ((["Transitions"], ["f"], [0], [], []), "invalid state name 'Transitions'"),
     ]
     for args, message in cases:
         with pytest.raises(TreeError) as err:
@@ -119,6 +126,8 @@ HEAD = "Ops a:0 g:1\nAutomaton A\nStates q0 q1\nFinal States q1\nTransitions\na 
     ("Ops a:0\nAutomaton A\nStates q q\n", 3, "duplicate state 'q'"),
     ("Ops a:0\nAutomaton A\nStates q\nFinal States zz\n", 4, "undeclared state 'zz'"),
     (HEAD + "b -> q0\n", 7, "undeclared symbol 'b'"),
+    ("Ops a:0\nAutomaton A\nStates q Transitions\nFinal States\n", 3,
+     "invalid state name 'Transitions'"),
     (HEAD + "g(q0 -> q1\n", 7, "undeclared state '->'"),
     (HEAD + "g(zz) -> q1\n", 7, "undeclared state 'zz'"),
     (HEAD + "g(q0) -> zz\n", 7, "undeclared state 'zz'"),
