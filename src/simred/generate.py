@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lts import Lts, _trusted_lts
+from .lts import Lts, _id_array, _trusted_lts
 from .relation import StateRelation
 from .tree import TreeAutomaton, _trusted_ta
 
@@ -65,7 +65,7 @@ def random_lts(
 
     state_names = [f"s{i}" for i in range(n_states)]
     symbol_names = [f"a{i}" for i in range(n_symbols)]
-    return _trusted_lts(state_names, symbol_names, list(triples))
+    return _trusted_lts(state_names, symbol_names, _id_array(triples))
 
 
 def random_preorder(n: int, *, edge_prob: float = 0.3, seed: int = 0) -> StateRelation:

@@ -170,12 +170,11 @@ class Lts:
         )
 
 
-def _check_names(names, kind: str, error, reserved=()) -> None:
+def _check_names(names, kind: str, error) -> None:
     """Raise ``error`` at the first name that is not a ``str`` matched by
-    :data:`IDENTIFIER_RE`, or is ``reserved``: a name the text formats
-    cannot carry."""
+    :data:`IDENTIFIER_RE`: a name the text formats cannot carry."""
     for name in names:
-        if not isinstance(name, str) or not IDENTIFIER_RE.match(name) or name in reserved:
+        if not isinstance(name, str) or not IDENTIFIER_RE.match(name):
             raise error(f"invalid {kind} name {name!r}")
 
 
@@ -186,18 +185,17 @@ def _id_array(transitions) -> np.ndarray:
     ).reshape(-1, 3)
 
 
-def _trusted_lts(state_names, symbol_names, transitions) -> Lts:
-    """:meth:`Lts.from_ids` without the checks, for builders whose names
-    are distinct and whose ids are in range by construction.  The tree
-    translations' encoding LTSs use it for names outside the text formats'
-    identifier rule."""
+def _trusted_lts(state_names, symbol_names, t: np.ndarray) -> Lts:
+    """:meth:`Lts.from_ids` without the checks, on an (E, 3) int64 array
+    ``t``, for builders whose names are distinct and whose ids are in range
+    by construction.  The tree translations' encoding LTSs use it for names
+    outside the text formats' identifier rule."""
     lts = object.__new__(Lts)
     lts.state_names = tuple(state_names)
     lts.symbol_names = tuple(symbol_names)
     lts._state_ids = {name: i for i, name in enumerate(lts.state_names)}
     lts._symbol_ids = {name: i for i, name in enumerate(lts.symbol_names)}
     n, m = len(lts.state_names), len(lts.symbol_names)
-    t = _id_array(transitions)
     u, a, w = t[:, 0], t[:, 1], t[:, 2]
 
     # sorting key (symbol, src, dst), sorted and deduplicated by hand:
@@ -232,15 +230,26 @@ def build_lts(transitions, states=(), symbols=()) -> Lts:
 
     Dense ids are assigned in first-appearance order, with explicitly declared
     ``states``/``symbols`` interned first.  Duplicate transitions collapse.
-    :meth:`Lts.from_ids` checks the names.
+    :meth:`Lts.from_ids` checks the names that can be interned.
     """
-    state_ids = {name: i for i, name in enumerate(dict.fromkeys(states))}
-    symbol_ids = {name: i for i, name in enumerate(dict.fromkeys(symbols))}
+    state_ids: dict[str, int] = {}
+    symbol_ids: dict[str, int] = {}
+
+    def intern(name, ids, kind):
+        try:
+            return ids.setdefault(name, len(ids))
+        except TypeError:  # unhashable, so no name at all
+            raise LtsError(f"invalid {kind} name {name!r}") from None
+
+    for name in states:
+        intern(name, state_ids, "state")
+    for name in symbols:
+        intern(name, symbol_ids, "symbol")
     triples = [
         (
-            state_ids.setdefault(src, len(state_ids)),
-            symbol_ids.setdefault(label, len(symbol_ids)),
-            state_ids.setdefault(dst, len(state_ids)),
+            intern(src, state_ids, "state"),
+            intern(label, symbol_ids, "symbol"),
+            intern(dst, state_ids, "state"),
         )
         for src, label, dst in transitions
     ]

@@ -162,32 +162,12 @@ def coarsest_pair(rho: StateRelation) -> PartitionRelationPair:
     """Coarsest partition-relation pair inducing the preorder ``rho``.
 
     States share a block iff they are mutually related, which in a preorder
-    holds iff their rows are equal (and then so are their columns).  So
-    ``rho`` is checked on its classes of equal rows: it is a preorder iff
-    within every class the columns are equal too, and the relation between
-    the classes is reflexive and transitive, for then ``rho`` relates two
-    states exactly as their classes are related.  Only a rejected relation
-    runs the n x n check, which finds its witness.
+    holds iff their rows are equal (and then so are their columns).
     """
+    rho.require_preorder("initial relation")
     m = rho.matrix
     reps, block_of = _row_classes(np.packbits(m, axis=1))
-    rows = m[reps]
-    rel = np.take(rows, reps, axis=1)
-    if not (m.all() or _preorder_on_classes(rows, block_of, rel)):
-        rho.require_preorder("initial relation")
-    return _trusted_pair(block_of, rel)
-
-
-def _preorder_on_classes(rows, block_of, rel) -> bool:
-    """Whether a relation is a preorder, given the rows ``rows`` of its
-    classes of equal rows, each state's class, and the relation ``rel``
-    between the classes."""
-    # the other rows repeat these, so two columns are equal iff they are
-    # equal on these rows; a singleton class's column is its own
-    multi = np.flatnonzero(np.bincount(block_of)[block_of] > 1)
-    if not np.array_equal(rows[:, multi], np.take(rel, block_of[multi], axis=1)):
-        return False
-    return bool(rel.diagonal().all()) and transitivity_witness(rel) is None
+    return _trusted_pair(block_of, np.take(m[reps], reps, axis=1))
 
 
 def closure_pair(rel: StateRelation) -> PartitionRelationPair:

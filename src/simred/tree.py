@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lts import IDENTIFIER_RE, Lts, _check_names, _trusted_lts
+from .lts import IDENTIFIER_RE, Lts, _check_names, _id_array, _trusted_lts
 from .partition import PartitionRelationPair, _trusted_pair, coarsest_pair
 from .relation import RelationError, StateRelation
 
@@ -45,10 +45,6 @@ __all__ = [
 ]
 
 HOLE = "□"  # printed in environment descriptions
-
-# the text format lists states up to the word Final and final states up to
-# Transitions, so it cannot carry a state of either name
-_RESERVED_STATE_NAMES = ("Final", "Transitions")
 
 
 class TreeError(ValueError):
@@ -91,8 +87,8 @@ class TreeAutomaton:
     Rules are (lhs state tuple, symbol id, target id) with the lhs length
     equal to the symbol's rank.  The constructor checks names, ranks and ids
     and raises :class:`TreeError`: every name must be a ``str`` that
-    ``IDENTIFIER_RE`` matches, and no state may be named ``Final`` or
-    ``Transitions``, so :func:`serialize_timbuk` writes text that
+    ``IDENTIFIER_RE`` matches, no state may be named ``Final`` and no final
+    state ``Transitions``, so :func:`serialize_timbuk` writes text that
     :func:`parse_timbuk` reads back.  :func:`parse_timbuk`,
     :func:`ta_quotient` and ``generate.random_ta`` build automata that are
     valid by construction and check nothing.
@@ -102,8 +98,12 @@ class TreeAutomaton:
 
     def __init__(self, state_names, symbol_names, ranks, rules, finals):
         state_names, symbol_names = tuple(state_names), tuple(symbol_names)
-        _check_names(state_names, "state", TreeError, _RESERVED_STATE_NAMES)
+        _check_names(state_names, "state", TreeError)
         _check_names(symbol_names, "symbol", TreeError)
+        # the text lists states up to the word Final, and final states up
+        # to the word Transitions
+        if "Final" in state_names:
+            raise TreeError("invalid state name 'Final'")
         ranks = tuple(int(r) for r in ranks)
         if len(ranks) != len(symbol_names):
             raise TreeError("one rank per symbol required")
@@ -130,6 +130,8 @@ class TreeAutomaton:
         finals = frozenset(int(q) for q in finals)
         if not finals <= set(range(nq)):
             raise TreeError("final state id out of range")
+        if any(state_names[q] == "Transitions" for q in finals):
+            raise TreeError("invalid final state name 'Transitions'")
         self._store(state_names, symbol_names, ranks, norm, finals)
 
     def _store(self, state_names, symbol_names, ranks, rules, finals) -> None:
@@ -257,7 +259,7 @@ def parse_timbuk(text: str) -> TreeAutomaton:
     state_ids: dict[str, int] = {}
     while peek() is not None and peek() != "Final":
         tok, line = take()
-        if not IDENTIFIER_RE.match(tok) or tok in _RESERVED_STATE_NAMES:
+        if not IDENTIFIER_RE.match(tok):
             raise TimbukParseError(line, f"invalid state name {tok!r}")
         if tok in state_ids:
             raise TimbukParseError(line, f"duplicate state {tok!r}")
@@ -475,7 +477,7 @@ def _translation(ta, kind, nodes, node_names, triples, states, others) -> Transl
     with the initial pair whose blocks are those of ``states`` and then
     those of ``others``, each a (labels, relation); no pair crosses them."""
     symbol_names = list(ta.symbol_names) + [f"#{i}" for i in range(1, ta.max_rank + 1)]
-    lts = _trusted_lts(list(ta.state_names) + node_names, symbol_names, list(triples))
+    lts = _trusted_lts(list(ta.state_names) + node_names, symbol_names, _id_array(triples))
     (labels, rel), (node_labels, node_rel) = states, others
     k, kn = len(rel), len(node_rel)
     both = np.zeros((k + kn, k + kn), dtype=bool)

@@ -431,25 +431,18 @@ def test_outputs_deterministic_across_runs(tmp_path, capsys, t1_text):
 
 
 def test_preorder_checked_once_per_run(tmp_path, capsys, monkeypatch):
-    import simred.partition
-
     calls = []
-    original = simred.partition._preorder_on_classes
+    original = StateRelation.preorder_violation
 
-    def counting(*args):
-        calls.append(len(args[0]))
-        return original(*args)
+    def counting(self):
+        calls.append(self.size)
+        return original(self)
 
-    def refuse(self):
-        raise AssertionError("n x n preorder check run on a preorder")
-
-    monkeypatch.setattr(simred.partition, "_preorder_on_classes", counting)
-    monkeypatch.setattr(StateRelation, "preorder_violation", refuse)
+    monkeypatch.setattr(StateRelation, "preorder_violation", counting)
     lts = write(tmp_path / "l1.lts", L1_TEXT)
     preorder = write(tmp_path / "pre.rel", "p p\nq q\nr r\np r\n")
     generators = write(tmp_path / "gen.rel", "p r\n")
-    # a given preorder is checked once, on its row classes; a closure is
-    # one by construction
+    # a given preorder is checked once; a closure is one by construction
     for algo in ("olrt", "lrt"):
         for argv, checks in (
             (["sim-lts", lts, "--init", preorder], 1),

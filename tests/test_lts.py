@@ -249,12 +249,17 @@ def test_build_lts_checks_names_through_from_ids():
         (("a", "x", ""), "invalid state name ''"),
         (("a", "x#", "c"), "invalid symbol name 'x#'"),
         (("a", None, "c"), "invalid symbol name None"),
+        # unhashable, so never interned
+        (("a", ["x"], "c"), "invalid symbol name ['x']"),
+        (({"a"}, "x", "c"), "invalid state name {'a'}"),
     ):
         with pytest.raises(LtsError) as err:
             build_lts([triple])
         assert str(err.value) == message
     with pytest.raises(LtsError, match="invalid state name 'p q'"):
         build_lts([], states=["p q"])
+    with pytest.raises(LtsError, match=r"invalid symbol name \['a'\]"):
+        build_lts([], states=["p"], symbols=[["a"]])
 
 
 def test_builders_never_enter_the_checked_constructor(monkeypatch, tmp_path, capsys):

@@ -354,6 +354,7 @@ def named_transitions(lts):
 @example(["a b", ""], ["f"], None)  # "States  a b": one name vanishes, one splits
 @example(["q", "Final"], ["f"], None)  # ends the States list early
 @example(["Transitions", "q"], ["f"], None)  # ends the Final States list early
+@example(["q", "Transitions"], ["f"], None)  # a non-final state of that name is carried
 def test_a_name_is_accepted_iff_the_text_formats_carry_it(states, symbols, data):
     n, m = len(states), len(symbols)
     if data is None:
@@ -377,52 +378,11 @@ def test_a_name_is_accepted_iff_the_text_formats_carry_it(states, symbols, data)
     ranks = [a % 3 for a in range(m)]
     rules = [((w,) * ranks[a], a, u) for u, a, w in triples]
     ta = outcome(TreeAutomaton, states, symbols, ranks, rules, [0])
-    if ok and not {"Final", "Transitions"} & set(states):
+    # state 0 is final
+    if ok and "Final" not in states and states[0] != "Transitions":
         assert parse_timbuk(serialize_timbuk(ta)) == ta
     else:
         assert ta[0] is TreeError and ta[2].startswith("invalid ")
-
-
-# -- coarsest_pair checks a preorder on its row classes ---------------------------
-
-
-def reference_coarsest_pair(rho):
-    """The grouping after the dense preorder check."""
-    rho.require_preorder("initial relation")
-    m = rho.matrix
-    if not m.size:
-        return PartitionRelationPair.full(0)
-    _, first, label = np.unique(m, axis=0, return_index=True, return_inverse=True)
-    return PartitionRelationPair.from_labels(label.ravel(), m[np.ix_(first, first)])
-
-
-@st.composite
-def near_preorders(draw):
-    """Random relations, as drawn, made reflexive or closed, with up to two
-    entries flipped."""
-    n = draw(st.integers(0, 8))
-    m = draw(relation_bits(n)).matrix
-    made = draw(st.sampled_from(["drawn", "reflexive", "closed", "closed"]))
-    if made == "reflexive":
-        m |= np.eye(n, dtype=bool)
-    elif made == "closed":
-        m = StateRelation(m).reflexive_transitive_closure().matrix
-    for _ in range(draw(st.integers(0, 2)) if n else 0):
-        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        m[u, v] = not m[u, v]
-    return StateRelation(m)
-
-
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
-@given(near_preorders())
-# rows 0 and 1 are equal and the class relation is a preorder, but the
-# columns of 0 and 1 differ: (2,0) and (0,1) without (2,1)
-@example(StateRelation(np.array([[1, 1, 0], [1, 1, 0], [1, 0, 1]], dtype=bool)))
-@example(StateRelation(np.array([[1, 1, 0]] * 3, dtype=bool)))  # one row class, not full
-@example(StateRelation.full(4))
-@example(StateRelation.identity(0))
-def test_coarsest_pair_matches_the_dense_check(rho):
-    assert outcome(coarsest_pair, rho) == outcome(reference_coarsest_pair, rho)
 
 
 # -- transitivity check against the full product -------------------------------

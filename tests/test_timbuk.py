@@ -105,12 +105,24 @@ def test_constructor_validates():
         # the text format's States list ends at Final, its Final States list
         # at Transitions
         ((["q", "Final"], ["f"], [0], [], []), "invalid state name 'Final'"),
-        ((["Transitions"], ["f"], [0], [], []), "invalid state name 'Transitions'"),
+        ((["Transitions"], ["f"], [0], [], [0]), "invalid final state name 'Transitions'"),
     ]
     for args, message in cases:
         with pytest.raises(TreeError) as err:
             TreeAutomaton(*args)
         assert str(err.value) == message
+
+
+def test_a_non_final_state_named_transitions_round_trips():
+    # only the Final States list ends at the word Transitions
+    text = (
+        "Ops a:0 g:1\nAutomaton A\nStates q Transitions\nFinal States q\nTransitions\n"
+        "a -> Transitions\ng(Transitions) -> q\n"
+    )
+    ta = parse_timbuk(text)
+    assert ta == TreeAutomaton(["q", "Transitions"], ["a", "g"], [0, 1],
+                               [((), 0, 1), ((1,), 1, 0)], [0])
+    assert parse_timbuk(serialize_timbuk(ta)) == ta
 
 
 HEAD = "Ops a:0 g:1\nAutomaton A\nStates q0 q1\nFinal States q1\nTransitions\na -> q0\n"
@@ -126,8 +138,6 @@ HEAD = "Ops a:0 g:1\nAutomaton A\nStates q0 q1\nFinal States q1\nTransitions\na 
     ("Ops a:0\nAutomaton A\nStates q q\n", 3, "duplicate state 'q'"),
     ("Ops a:0\nAutomaton A\nStates q\nFinal States zz\n", 4, "undeclared state 'zz'"),
     (HEAD + "b -> q0\n", 7, "undeclared symbol 'b'"),
-    ("Ops a:0\nAutomaton A\nStates q Transitions\nFinal States\n", 3,
-     "invalid state name 'Transitions'"),
     (HEAD + "g(q0 -> q1\n", 7, "undeclared state '->'"),
     (HEAD + "g(zz) -> q1\n", 7, "undeclared state 'zz'"),
     (HEAD + "g(q0) -> zz\n", 7, "undeclared state 'zz'"),
