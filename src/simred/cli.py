@@ -1,8 +1,8 @@
 """Command line interface: compute simulations, reduce, generate, benchmark.
 
 Exit codes: 0 success, 2 parse error (including input that is not UTF-8),
-3 semantic input error or a file that cannot be read or written, 4 bad
-parameters.  Relation/structure output goes to stdout (or --output);
+3 semantic input error or a file or stdout that cannot be read or written,
+4 bad parameters.  Relation/structure output goes to stdout (or --output);
 metrics go to a separate file so the main output stays pipe-clean.
 
 Each command imports the modules it needs when it runs: an LTS command
@@ -13,6 +13,7 @@ no engine.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -140,7 +141,7 @@ def _cmd_sim_lts(args) -> int:
     lts = _load_lts(args.input, _read(args.input))
     pair, metrics = _run_lts_algorithm(lts, args)
     if args.format == "pairs":
-        _emit(serialize_relation(pair.induced_relation(), lts), args.output)
+        _emit(serialize_relation(pair, lts), args.output)
     else:
         _emit(_blocks_text(pair, lts.state_names), args.output)
     metrics.update(
@@ -178,7 +179,7 @@ def _downward_for(ta, algo: str, initial=None) -> PartitionRelationPair:
 def _cmd_ta_down(args) -> int:
     ta = _load_ta(args.input, _read(args.input))
     pair = _downward_for(ta, args.algo)
-    _emit(serialize_relation(pair.induced_relation(), ta), args.output)
+    _emit(serialize_relation(pair, ta), args.output)
     return EXIT_OK
 
 
@@ -192,8 +193,9 @@ def _given_downward(ta, path: str, algo: str) -> PartitionRelationPair:
         raise _CliError(EXIT_SEMANTIC, f"{path}: not a downward simulation: {exc}") from exc
     inside = _downward_for(ta, algo, pair)
     if inside != pair:
-        dropped = np.argwhere(d.matrix & ~inside.induced_relation().matrix)[0]
-        q, r = (ta.state_names[v] for v in dropped)
+        u, v = np.nonzero(d.matrix)
+        i = np.flatnonzero(~inside.rel[inside.block_of[u], inside.block_of[v]])[0]
+        q, r = ta.state_names[u[i]], ta.state_names[v[i]]
         raise _CliError(EXIT_SEMANTIC, f"{path}: not a downward simulation: the maximal "
                         f"downward simulation inside it drops ({q},{r})")
     return pair
@@ -210,7 +212,7 @@ def _cmd_ta_up(args) -> int:
     else:
         from .tree import upward_simulation
 
-        rel = upward_simulation(ta, d, args.algo).induced_relation()
+        rel = upward_simulation(ta, d, args.algo)
     _emit(serialize_relation(rel, ta), args.output)
     return EXIT_OK
 
@@ -285,9 +287,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    import csv
-    import io
-
     from .engine import ENGINES
     from .generate import random_lts
 
@@ -302,22 +301,9 @@ def _cmd_bench(args) -> int:
         if algo not in ENGINES:
             raise _CliError(EXIT_PARAMS, f"unknown benchmark algorithm {algo!r}")
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "instance",
-            "states",
-            "symbols",
-            "transitions",
-            "algorithm",
-            "time_ms",
-            "counters_allocated",
-            "remove_enqueued",
-            "iterations",
-            "final_block_count",
-        ]
-    )
+    # CSV whose fields are names and numbers, none needing quotes
+    lines = ["instance,states,symbols,transitions,algorithm,time_ms,"
+             "counters_allocated,remove_enqueued,iterations,final_block_count\n"]
     for m in symbol_counts:
         try:
             lts = random_lts(
@@ -333,21 +319,12 @@ def _cmd_bench(args) -> int:
         initial = PartitionRelationPair.full(lts.state_count)
         for algo in algos:
             pair, metrics = ENGINES[algo](lts, initial)
-            writer.writerow(
-                [
-                    instance,
-                    lts.state_count,
-                    lts.symbol_count,
-                    lts.transition_count,
-                    algo,
-                    f"{metrics.wall_time_ms:.3f}",
-                    metrics.counters_allocated,
-                    metrics.remove_enqueued,
-                    metrics.iterations,
-                    pair.block_count,
-                ]
+            lines.append(
+                f"{instance},{lts.state_count},{lts.symbol_count},{lts.transition_count},"
+                f"{algo},{metrics.wall_time_ms:.3f},{metrics.counters_allocated},"
+                f"{metrics.remove_enqueued},{metrics.iterations},{pair.block_count}\n"
             )
-    _emit(buf.getvalue(), args.output)
+    _emit("".join(lines), args.output)
     return EXIT_OK
 
 
@@ -434,7 +411,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # Python flushes stdout again at exit: let that write go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write(f"simred: cannot write stdout: {exc}\n")
+        return EXIT_SEMANTIC
     except _CliError as exc:
         sys.stderr.write(f"simred: {exc}\n")
         return exc.code

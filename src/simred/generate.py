@@ -11,12 +11,7 @@ from .lts import Lts, _id_array, _trusted_lts
 from .relation import StateRelation
 from .tree import TreeAutomaton, _trusted_ta
 
-__all__ = ["random_lts", "random_preorder", "random_ta", "menu_size"]
-
-
-def menu_size(n_symbols: int, sparsity: float) -> int:
-    """Per-state alphabet size implied by a sparsity fraction (at least 1)."""
-    return max(1, round(sparsity * n_symbols))
+__all__ = ["random_lts", "random_preorder", "random_ta"]
 
 
 def random_lts(
@@ -44,7 +39,7 @@ def random_lts(
         raise ValueError("sparsity must be within (0,1]")
 
     rng = np.random.default_rng(seed)
-    menu = menu_size(n_symbols, sparsity)
+    menu = max(1, round(sparsity * n_symbols))  # at least one symbol per state
     menus = np.stack(
         [rng.choice(n_symbols, size=menu, replace=False) for _ in range(n_states)]
     )

@@ -390,23 +390,38 @@ def parse_relation(text: str, states) -> StateRelation:
     return rel
 
 
-def serialize_relation(rel: StateRelation, states) -> str:
+def serialize_relation(rel, states) -> str:
     """One ``U V`` name pair per line, sorted.
 
-    ``states`` is anything with ``state_names`` (an :class:`Lts` or a tree
-    automaton).
+    ``rel`` is a partition-relation pair, written block by block, or a
+    :class:`StateRelation`, written as one block per state.  ``states`` is
+    anything with ``state_names`` (an :class:`Lts` or a tree automaton).
     """
     names = states.state_names
-    if any(" " in name for name in names):
-        lines = sorted(f"{names[u]} {names[v]}" for u, v in rel.pairs())
-        return "\n".join(lines) + "\n" if lines else ""
-    # without spaces in names, the lines sort as (U + " ", V) do: rank the
-    # rows by that key and the columns by name, and read the permuted
-    # matrix row-major
-    rows = sorted(range(len(names)), key=lambda i: names[i] + " ")
+    if isinstance(rel, StateRelation):
+        block_of, related = np.arange(len(names)), rel.matrix
+    else:
+        block_of, related = rel.block_of, rel.rel
+    # without spaces in names, the lines sort as (U + " ", V) do: visit the
+    # rows by that key, and gather each block's columns once, by name
+    spaced = any(" " in name for name in names)
     cols = sorted(range(len(names)), key=names.__getitem__)
-    u, v = np.nonzero(np.take(rel.matrix[rows], cols, axis=1))
-    words = np.empty(2 * len(u), dtype=object)
-    words[0::2] = np.array([names[i] + " " for i in rows], dtype=object)[u]
-    words[1::2] = np.array([names[i] + "\n" for i in cols], dtype=object)[v]
-    return "".join(words.tolist())
+    col_names = np.array([names[v] for v in cols], dtype=object)
+    col_block = block_of[cols]
+    left = np.bincount(block_of, minlength=len(related)).tolist()  # rows to go per block
+    gathered = {}
+    out = []
+    for u in sorted(range(len(names)), key=lambda i: names[i] + " "):
+        b = int(block_of[u])
+        if b not in gathered:
+            gathered[b] = col_names[related[b][col_block]].tolist()
+        left[b] -= 1
+        above = gathered[b] if left[b] else gathered.pop(b)  # its last row drops it
+        prefix = names[u] + " "
+        if spaced:
+            out.extend(prefix + v for v in above)
+        elif above:
+            out.append(prefix + ("\n" + prefix).join(above))
+    if spaced:
+        out.sort()
+    return "\n".join(out + [""]) if out else ""  # not text + "\n": one copy less

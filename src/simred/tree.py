@@ -311,7 +311,7 @@ def parse_timbuk(text: str) -> TreeAutomaton:
     return _trusted_ta(state_ids, ranks, ranks.values(), rules, finals)
 
 
-def serialize_timbuk(ta: TreeAutomaton, name: str = "A") -> str:
+def serialize_timbuk(ta: TreeAutomaton) -> str:
     """Canonical text form: operators, states and rules each sorted by name."""
     ops = sorted(zip(ta.symbol_names, ta.ranks))
     states = sorted(ta.state_names)
@@ -326,7 +326,7 @@ def serialize_timbuk(ta: TreeAutomaton, name: str = "A") -> str:
     )
     lines = [
         "Ops " + " ".join(f"{s}:{r}" for s, r in ops),
-        f"Automaton {name}",
+        "Automaton A",
         "States " + " ".join(states),
         "Final States " + " ".join(finals),
         "Transitions",

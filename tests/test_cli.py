@@ -1,5 +1,9 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -484,6 +488,66 @@ def test_no_cli_path_checks_a_built_pair(tmp_path, capsys, monkeypatch):
             code, _, _ = run(argv + ["--algo", algo], capsys)
             assert code == 0, argv
             assert calls == [], argv
+
+
+def test_no_engine_cli_path_expands_a_pair(tmp_path, capsys, monkeypatch):
+    # relation output is written from the engine's pair; only the oracle
+    # branches need the state relation
+    from simred.partition import PartitionRelationPair
+
+    calls = []
+    expand = PartitionRelationPair.induced_relation
+
+    def spy(pair):
+        calls.append(pair)
+        return expand(pair)
+
+    monkeypatch.setattr(PartitionRelationPair, "induced_relation", spy)
+    lts = write(tmp_path / "l1.lts", L1_TEXT)
+    preorder = write(tmp_path / "pre.rel", "p p\nq q\nr r\np r\n")
+    generators = write(tmp_path / "gen.rel", "p r\n")
+    ta = write(tmp_path / "t1.tmb", T1_TEXT)
+    code, out, _ = run(["ta-down", ta], capsys)
+    assert code == 0
+    downward = write(tmp_path / "down.rel", out)
+    for algo in ("olrt", "lrt"):
+        for argv in (
+            ["sim-lts", lts],
+            ["sim-lts", lts, "--format", "blocks"],
+            ["sim-lts", lts, "--init", preorder],
+            ["sim-lts", lts, "--init", preorder, "--format", "blocks"],
+            ["sim-lts", lts, "--init", generators, "--closure"],
+            ["sim-lts", lts, "--init", generators, "--closure", "--format", "blocks"],
+            ["ta-down", ta],
+            ["ta-up", ta],
+            ["ta-up", ta, "--init", downward],
+            ["minimize", lts],
+            ["minimize", ta],
+        ):
+            code, _, _ = run(argv + ["--algo", algo], capsys)
+            assert code == 0, argv
+            assert calls == [], argv
+
+
+def test_closed_stdout_exits_3(tmp_path):
+    # a pipe whose read end is closed fails every write to it
+    lts = write(tmp_path / "l1.lts", L1_TEXT)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "simred.cli", "sim-lts", lts],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("simred: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert "Traceback" not in proc.stderr
 
 
 def test_minimize_quotients_by_engine_pair(tmp_path, capsys):

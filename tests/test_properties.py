@@ -584,6 +584,10 @@ def test_serialize_relation_matches_sorted_lines(names, data):
     else:
         bits = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
     rel = StateRelation(np.array(bits, dtype=bool).reshape(n, n))
-    lines = sorted(f"{names[u]} {names[v]}" for u, v in rel.pairs())
-    expected = "\n".join(lines) + "\n" if lines else ""
-    assert serialize_relation(rel, SimpleNamespace(state_names=tuple(names))) == expected
+    states = SimpleNamespace(state_names=tuple(names))
+    # a StateRelation as it is, and the pair of its closure block by block
+    closure = rel.reflexive_transitive_closure()
+    for written, reference in ((rel, rel), (closure_pair(rel), closure)):
+        lines = sorted(f"{names[u]} {names[v]}" for u, v in reference.pairs())
+        expected = "\n".join(lines) + "\n" if lines else ""
+        assert serialize_relation(written, states) == expected
