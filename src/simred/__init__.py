@@ -41,7 +41,6 @@ _MODULE_OF = {
     "lrt": "engine",
     "max_simulation_naive": "oracle",
     "olrt": "engine",
-    "out_preorder": "lts",
     "parse_lts": "lts",
     "parse_relation": "lts",
     "parse_timbuk": "tree",

@@ -23,14 +23,14 @@ from .lts import (
     Lts,
     LtsError,
     LtsParseError,
+    _relation_ids,
     parse_lts,
-    parse_relation,
     quotient,
     serialize_lts,
     serialize_relation,
 )
-from .partition import PartitionRelationPair, closure_pair, coarsest_pair
-from .relation import RelationError, StateRelation
+from .partition import PartitionRelationPair, _checked_pair, closure_pair, coarsest_pair
+from .relation import RelationError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -77,10 +77,11 @@ def _load_lts(path: str, text: str) -> Lts:
         raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
 
 
-def _load_relation(path: str, states) -> StateRelation:
-    """Relation file over the state names of an LTS or a tree automaton."""
+def _load_relation(path: str, states):
+    """The distinct pairs of a relation file over the state names of an LTS
+    or a tree automaton, as id arrays in row-major order."""
     try:
-        return parse_relation(_read(path), states)
+        return _relation_ids(_read(path), states)
     except LtsParseError as exc:
         raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
     except ValueError as exc:  # an unknown state name
@@ -89,13 +90,15 @@ def _load_relation(path: str, states) -> StateRelation:
 
 def _initial_pair(lts: Lts, args) -> PartitionRelationPair:
     """The initial pair: one block without --init, else the coarsest pair of
-    the --init relation, which coarsest_pair checks to be a preorder.  The
+    the --init relation, which _checked_pair checks to be a preorder.  The
     closure of --init --closure is one by construction and goes unchecked."""
     if args.init is None:
         return PartitionRelationPair.full(lts.state_count)
-    rel = _load_relation(args.init, lts)
+    ids = _load_relation(args.init, lts)
+    if args.closure:
+        return closure_pair(lts.state_count, *ids)
     try:
-        return closure_pair(rel) if args.closure else coarsest_pair(rel)
+        return _checked_pair(lts.state_count, *ids)
     except RelationError as exc:
         raise _CliError(EXIT_SEMANTIC, f"{args.init}: {exc}") from exc
 
@@ -186,14 +189,13 @@ def _cmd_ta_down(args) -> int:
 def _given_downward(ta, path: str, algo: str) -> PartitionRelationPair:
     """The pair of the --init relation D, accepted iff D is a preorder and
     the maximal downward simulation inside D, computed by ``algo``, is D."""
-    d = _load_relation(path, ta)
+    u, v = _load_relation(path, ta)
     try:
-        pair = coarsest_pair(d)
+        pair = _checked_pair(ta.state_count, u, v)
     except RelationError as exc:
         raise _CliError(EXIT_SEMANTIC, f"{path}: not a downward simulation: {exc}") from exc
     inside = _downward_for(ta, algo, pair)
     if inside != pair:
-        u, v = np.nonzero(d.matrix)
         i = np.flatnonzero(~inside.rel[inside.block_of[u], inside.block_of[v]])[0]
         q, r = ta.state_names[u[i]], ta.state_names[v[i]]
         raise _CliError(EXIT_SEMANTIC, f"{path}: not a downward simulation: the maximal "
@@ -283,6 +285,8 @@ def _cmd_gen(args) -> int:
             _emit(serialize_timbuk(ta), args.output)
     except ValueError as exc:
         raise _CliError(EXIT_PARAMS, str(exc)) from exc
+    except MemoryError as exc:
+        raise _CliError(EXIT_PARAMS, "not enough memory to generate this instance") from exc
     return EXIT_OK
 
 
@@ -315,6 +319,8 @@ def _cmd_bench(args) -> int:
             )
         except ValueError as exc:
             raise _CliError(EXIT_PARAMS, str(exc)) from exc
+        except MemoryError as exc:
+            raise _CliError(EXIT_PARAMS, "not enough memory to generate this instance") from exc
         instance = f"n{args.states}-m{m}-seed{args.seed}"
         initial = PartitionRelationPair.full(lts.state_count)
         for algo in algos:

@@ -28,7 +28,6 @@ __all__ = [
     "LtsParseError",
     "Lts",
     "build_lts",
-    "out_preorder",
     "is_simulation",
     "quotient",
     "parse_lts",
@@ -185,6 +184,15 @@ def _id_array(transitions) -> np.ndarray:
     ).reshape(-1, 3)
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys, ascending; sorted and deduplicated by hand, as
+    np.unique would import all of numpy.ma on its first call."""
+    keys = np.sort(keys)
+    fresh = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    return keys[fresh]
+
+
 def _trusted_lts(state_names, symbol_names, t: np.ndarray) -> Lts:
     """:meth:`Lts.from_ids` without the checks, on an (E, 3) int64 array
     ``t``, for builders whose names are distinct and whose ids are in range
@@ -198,13 +206,9 @@ def _trusted_lts(state_names, symbol_names, t: np.ndarray) -> Lts:
     n, m = len(lts.state_names), len(lts.symbol_names)
     u, a, w = t[:, 0], t[:, 1], t[:, 2]
 
-    # sorting key (symbol, src, dst), sorted and deduplicated by hand:
-    # np.unique would import all of numpy.ma on its first call
+    # sorting key (symbol, src, dst)
     nn = max(n, 1)
-    key = np.sort((a * nn + u) * nn + w)
-    fresh = np.ones(len(key), dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=fresh[1:])
-    sym, rest = np.divmod(key[fresh], nn * nn)
+    sym, rest = np.divmod(_distinct((a * nn + u) * nn + w), nn * nn)
     src, dst = np.divmod(rest, nn)
     lts.src, lts.sym, lts.dst = _frozen(src), _frozen(sym), _frozen(dst)
 
@@ -256,13 +260,6 @@ def build_lts(transitions, states=(), symbols=()) -> Lts:
     if not state_ids:
         raise LtsError("empty system: no transitions and no declared states")
     return Lts.from_ids(state_ids, symbol_ids, triples)
-
-
-def out_preorder(lts: Lts) -> StateRelation:
-    """The output preorder: (u,v) related iff out(u) is a subset of out(v)."""
-    # (u,v) fails iff u emits some symbol v does not.
-    o = lts.out_mask.astype(np.float32)
-    return StateRelation((o @ (1.0 - o).T) < 0.5)
 
 
 def is_simulation(lts: Lts, rho: StateRelation) -> bool:
@@ -364,14 +361,15 @@ def serialize_lts(lts: Lts) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def parse_relation(text: str, states) -> StateRelation:
-    """Parse a relation file: one ``U V`` name pair per line; ``#`` starts a
+def _relation_ids(text: str, states):
+    """Read a relation file: one ``U V`` name pair per line; ``#`` starts a
     comment that runs to the end of the line.
 
-    ``states`` is anything with ``state_count``, ``state_names`` and
-    ``state_id`` (an :class:`Lts` or a tree automaton).  A malformed line
-    raises :class:`LtsParseError`; an unknown name re-raises the
-    ``state_id`` error with the line number prefixed.
+    Returns the distinct pairs as two id arrays (sources, targets) in
+    row-major order.  ``states`` is anything with ``state_count``,
+    ``state_names`` and ``state_id`` (an :class:`Lts` or a tree automaton).
+    A malformed line raises :class:`LtsParseError`; an unknown name
+    re-raises the ``state_id`` error with the line number prefixed.
     """
     lines = text.splitlines()
     body = "\n".join(lines)
@@ -385,8 +383,14 @@ def parse_relation(text: str, states) -> StateRelation:
                     states.state_id(tok)
             except ValueError as exc:
                 raise type(exc)(f"line {lineno}: {exc}") from None
+    n = max(states.state_count, 1)
+    return np.divmod(_distinct(pairs[0::2] * n + pairs[1::2]), n)
+
+
+def parse_relation(text: str, states) -> StateRelation:
+    """The :class:`StateRelation` of a relation file; see :func:`_relation_ids`."""
     rel = StateRelation.empty(states.state_count)
-    rel.matrix[pairs[0::2], pairs[1::2]] = True
+    rel.matrix[_relation_ids(text, states)] = True
     return rel
 
 

@@ -6,6 +6,10 @@ B x C over related block pairs (B,C).  Pairs are canonical on construction:
 block ids follow the blocks' least members, so equal pairs have identical
 arrays.  This module is the only place that orders or groups blocks; every
 other layer hands it one label per state.
+
+It also holds the one preorder check, :func:`_preorder_pair`, on a
+relation given as two id arrays; every check of a relation or of a block
+relation calls it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lts import Lts
-from .relation import StateRelation
+from .relation import RelationError, StateRelation
 
 __all__ = [
     "PartitionError",
@@ -23,8 +27,6 @@ __all__ = [
     "refine_by_out",
     "validate_coarsest",
 ]
-
-_PRODUCT_CELLS = 1 << 24  # float32 cells (64 MB) in one row chunk of the product
 
 
 class PartitionError(ValueError):
@@ -159,19 +161,66 @@ def _trusted_pair(labels, rel) -> PartitionRelationPair:
 
 
 def coarsest_pair(rho: StateRelation) -> PartitionRelationPair:
-    """Coarsest partition-relation pair inducing the preorder ``rho``.
+    """Coarsest partition-relation pair inducing the preorder ``rho``;
+    raises :class:`RelationError` if ``rho`` is not a preorder."""
+    return _checked_pair(rho.size, *rho.id_pairs())
 
-    States share a block iff they are mutually related, which in a preorder
-    holds iff their rows are equal (and then so are their columns).
+
+def _checked_pair(n: int, src, dst) -> PartitionRelationPair:
+    """:func:`coarsest_pair` of the relation whose distinct pairs ``src``
+    and ``dst`` list in row-major order."""
+    pair, witness = _preorder_pair(n, src, dst)
+    if witness is not None:
+        raise RelationError(f"initial relation is not a preorder: {_violation(witness)}")
+    return pair
+
+
+def _violation(witness) -> str:
+    """The message for a witness of :func:`_preorder_pair`."""
+    if len(witness) == 1:
+        return f"not reflexive: pair ({witness[0]},{witness[0]}) missing"
+    u, v, w = witness
+    return f"not transitive: ({u},{v}) and ({v},{w}) present but ({u},{w}) missing"
+
+
+def _preorder_pair(n: int, src, dst):
+    """(the coarsest pair of R, None) if the relation R on n states whose
+    distinct pairs ``src`` and ``dst`` list in row-major order is a
+    preorder, else (None, witness): ``(u,)`` for the least u without (u,u),
+    or the first (u, v, w), row-major in (u, w), with (u,v) and (v,w) in R
+    but not (u,w), v least.
+
+    A reflexive R is a preorder iff it holds as many pairs as its closure,
+    Σ|B|·|C| over the related blocks B, C of :func:`closure_pair`: linear
+    time in n and the pairs, and no matrix product.
     """
-    rho.require_preorder("initial relation")
-    m = rho.matrix
-    reps, block_of = _row_classes(np.packbits(m, axis=1))
-    return _trusted_pair(block_of, np.take(m[reps], reps, axis=1))
+    loops = src == dst
+    if np.count_nonzero(loops) < n:
+        has_loop = np.zeros(n, dtype=bool)
+        has_loop[src[loops]] = True
+        return None, (int(np.argmin(has_loop)),)
+    if len(src) == n * n:
+        return PartitionRelationPair.full(n), None
+    pair = closure_pair(n, src, dst)
+    k, sizes = pair.block_count, np.bincount(pair.block_of)
+    # closure row sizes per block, a slab of ~1 M cells at a time
+    step = max(1, (1 << 20) // k)
+    reach = np.concatenate([pair.rel[i : i + step] @ sizes for i in range(0, k, step)])
+    if sizes @ reach == len(src):
+        return pair, None
+    # the first row of R short of its closure row misses a two-step successor
+    u = int(np.flatnonzero(reach[pair.block_of] > np.bincount(src, minlength=n))[0])
+    in_row = np.zeros(n, dtype=bool)
+    in_row[dst[src == u]] = True
+    two_step = np.zeros(n, dtype=bool)
+    two_step[dst[in_row[src]]] = True
+    w = int(np.argmax(two_step & ~in_row))
+    return None, (u, int(src[(dst == w) & in_row[src]][0]), w)
 
 
-def closure_pair(rel: StateRelation) -> PartitionRelationPair:
-    """Coarsest pair of the reflexive-transitive closure of ``rel``.
+def closure_pair(n: int, src, dst) -> PartitionRelationPair:
+    """Coarsest pair of the reflexive-transitive closure of the relation
+    on n states whose pairs ``src`` and ``dst`` list, sources ascending.
 
     The blocks are the strongly connected components of the generator graph
     and the block relation is reachability between them, so the closure is
@@ -181,9 +230,6 @@ def closure_pair(rel: StateRelation) -> PartitionRelationPair:
     final reach sets of the components its edges enter.  Linear time in n
     and the generator pairs, plus k^2/64 words for k components.
     """
-    n = rel.size
-    # row-major, so already sorted by source; far faster than 2-D np.nonzero
-    src, dst = np.divmod(np.flatnonzero(rel.matrix), max(n, 1))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     indptr, dst = indptr.tolist(), dst.tolist()
@@ -242,76 +288,20 @@ def closure_pair(rel: StateRelation) -> PartitionRelationPair:
     return _trusted_pair(comp, closed.view(bool))
 
 
-def _run(ids: np.ndarray):
-    """Ascending ids as a slice when they are consecutive: indexing by it
-    makes a view, not a gathered copy."""
-    return slice(ids[0], ids[-1] + 1) if ids[-1] - ids[0] == len(ids) - 1 else ids
-
-
-def transitivity_witness(m: np.ndarray):
-    """The first (u, v, w), in row-major order of (u, w), with ``m[u, v]``
-    and ``m[v, w]`` but not ``m[u, w]``; None if ``m`` is transitive.
-
-    In a violation v differs from u and from w, so v is a middle: an id
-    with a strict predecessor and a strict successor.  The boolean product
-    runs only through the middles, over the rows that reach one and the
-    columns one reaches, a chunk of rows at a time, and stops at the first
-    chunk that holds a violation.
-    """
-    strict = m.copy()
-    np.fill_diagonal(strict, False)
-    middle = strict.any(axis=0) & strict.any(axis=1)
-    mid = np.flatnonzero(middle)
-    if not mid.size:
-        return None
-    # float32 products hit BLAS; integer ones do not.  A middle's own
-    # diagonal entry is no strict step, so it comes off each count
-    f = m.astype(np.float32)
-    weight = middle.astype(np.float32)
-    loops = weight * f.diagonal()
-    rows = np.flatnonzero(f @ weight - loops > 0.5)
-    cols = np.flatnonzero(weight @ f - loops > 0.5)
-    # paths through the diagonal only reach pairs of m, so m composes as
-    # well as strict does
-    through, into = _run(mid), _run(cols)
-    after = f[through][:, into]
-    step = max(1, _PRODUCT_CELLS // len(cols))
-    for lo in range(0, len(rows), step):
-        chunk = rows[lo : lo + step]
-        at = _run(chunk)
-        bad = ((f[at][:, through] @ after) > 0.5) & ~m[at][:, into]
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            u, w = int(chunk[i]), int(cols[j])
-            return u, int(np.flatnonzero(m[u] & m[:, w])[0]), w
-    return None
-
-
 def validate_coarsest(pair: PartitionRelationPair) -> None:
-    """Require that ``pair`` is the coarsest pair of some preorder.
-
-    Equivalent to: the block relation is reflexive, transitive and
-    antisymmetric (a mutual pair of distinct blocks would be mergeable).
-    """
-    rel = pair.rel
-    diag = rel.diagonal()
-    if not diag.all():
-        b = int(np.flatnonzero(~diag)[0])
-        raise PartitionError(f"block relation not reflexive: block {b}")
-    witness = transitivity_witness(rel)
+    """Require that ``pair`` is the coarsest pair of some preorder:
+    its block relation is a preorder whose own coarsest pair has a block
+    per block, as two mutually related blocks would be mergeable."""
+    closed, witness = _preorder_pair(pair.block_count, *np.nonzero(pair.rel))
+    if witness is not None and len(witness) == 1:
+        raise PartitionError(f"block relation not reflexive: block {witness[0]}")
     if witness is not None:
-        b, _, c = witness
-        raise PartitionError(f"block relation not transitive at ({b},{c})")
-    # in a preorder two blocks are mutually related iff their rows are
-    # equal; the first such pair, row-major, is the least block with a
-    # twin row and the least of its twins
-    reps, row_class = _row_classes(np.packbits(rel, axis=1))
-    if len(reps) < len(rel):
-        b = int(np.flatnonzero(np.bincount(row_class)[row_class] > 1)[0])
-        c = int(np.flatnonzero(row_class == row_class[b])[1])
-        raise PartitionError(
-            f"pair is not coarsest: blocks {b} and {c} are mutually related"
-        )
+        raise PartitionError(f"block relation not transitive at ({witness[0]},{witness[2]})")
+    if closed.block_count < pair.block_count:
+        # the first mutual pair, row-major: the two least blocks of the
+        # first class that holds more than one
+        b, c = next(m for m in closed.members if len(m) > 1)[:2].tolist()
+        raise PartitionError(f"pair is not coarsest: blocks {b} and {c} are mutually related")
 
 
 def _row_classes(rows: np.ndarray):

@@ -1,13 +1,14 @@
 """Dense binary relations over state ids.
 
 A :class:`StateRelation` wraps an n x n boolean matrix and does not copy
-it.  Its reflexive-transitive closure is computed without touching the
-matrix beyond one scan for its pairs: ``partition.closure_pair`` condenses
-the generator graph into strongly connected components with an iterative
-Tarjan pass (Tarjan 1972) and closes the condensation in the order Tarjan
-completes it, sinks first (Purdom 1970; Nuutila 1995).  That costs linear
-time in n and the pairs plus k^2/64 words for k components; the dense
-matrix is only built when a caller asks for it.
+it; no CLI path except ``--algo oracle`` builds one.  Its closure and its
+preorder check scan the matrix once for its pairs and hand them to
+``partition``: ``closure_pair`` condenses the generator graph into strongly
+connected components with an iterative Tarjan pass (Tarjan 1972) and closes
+the condensation in the order Tarjan completes it, sinks first (Purdom
+1970; Nuutila 1995), in linear time in n and the pairs plus k^2/64 words
+for k components.  A reflexive relation is a preorder iff it holds as many
+pairs as that closure, so the check costs the same and no matrix product.
 """
 
 from __future__ import annotations
@@ -80,6 +81,10 @@ class StateRelation:
         for u, v in np.argwhere(self.matrix):
             yield int(u), int(v)
 
+    def id_pairs(self):
+        """All related pairs as two id arrays (sources, targets), row-major."""
+        return np.nonzero(self.matrix)
+
     def pair_count(self) -> int:
         return int(self.matrix.sum())
 
@@ -106,23 +111,10 @@ class StateRelation:
 
     def preorder_violation(self):
         """Return None if the relation is a preorder, else a human-readable witness."""
-        m = self.matrix
-        diag = m.diagonal()
-        if not diag.all():
-            u = int(np.flatnonzero(~diag)[0])
-            return f"not reflexive: pair ({u},{u}) missing"
-        if m.all():
-            return None
-        from .partition import transitivity_witness  # partition imports this module
+        from .partition import _preorder_pair, _violation  # partition imports this module
 
-        witness = transitivity_witness(m)
-        if witness is not None:
-            u, v, w = witness
-            return (
-                f"not transitive: ({u},{v}) and ({v},{w}) present "
-                f"but ({u},{w}) missing"
-            )
-        return None
+        _, witness = _preorder_pair(self.size, *self.id_pairs())
+        return None if witness is None else _violation(witness)
 
     def is_preorder(self) -> bool:
         return self.preorder_violation() is None
@@ -137,4 +129,4 @@ class StateRelation:
         :func:`~simred.partition.closure_pair`."""
         from .partition import closure_pair  # partition imports this module
 
-        return closure_pair(self).induced_relation()
+        return closure_pair(self.size, *self.id_pairs()).induced_relation()

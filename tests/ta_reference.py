@@ -4,7 +4,8 @@ A reference for the translations' ``initial`` pairs in the tests: quadratic
 in the translated LTS's state count, so keep the automata small.
 """
 
-from simred import StateRelation, coarsest_pair, out_preorder, refine_by_out
+from lts_reference import out_preorder
+from simred import StateRelation, coarsest_pair, refine_by_out
 
 
 def initial_preorder(ta, tr, d=None, init=None) -> StateRelation:

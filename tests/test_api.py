@@ -31,7 +31,6 @@ PUBLIC = [
     "lrt",
     "max_simulation_naive",
     "olrt",
-    "out_preorder",
     "parse_lts",
     "parse_relation",
     "parse_timbuk",

@@ -352,6 +352,24 @@ def test_gen_bad_params_exit_4(capsys):
     assert code == 4
 
 
+def test_generator_out_of_memory_exit_4(capsys, monkeypatch):
+    # an instance too large to allocate is a parameter error; the patched
+    # generator raises at once, so the test allocates nothing
+    import simred.generate
+
+    def too_large(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(simred.generate, "random_lts", too_large)
+    for command in ("gen", "bench"):
+        code, out, err = run(
+            [command, "--states", "3", "--symbols", "1", "--edges", "100000000000"], capsys
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "simred: not enough memory to generate this instance\n"
+
+
 def test_gen_sparsity_menu_statistics(tmp_path, capsys):
     # sparsity 0.25 with 16 symbols: each state draws from a 4-symbol menu
     from simred import parse_lts
@@ -435,14 +453,16 @@ def test_outputs_deterministic_across_runs(tmp_path, capsys, t1_text):
 
 
 def test_preorder_checked_once_per_run(tmp_path, capsys, monkeypatch):
+    import simred.partition
+
     calls = []
-    original = StateRelation.preorder_violation
+    original = simred.partition._preorder_pair
 
-    def counting(self):
-        calls.append(self.size)
-        return original(self)
+    def counting(n, src, dst):
+        calls.append(n)
+        return original(n, src, dst)
 
-    monkeypatch.setattr(StateRelation, "preorder_violation", counting)
+    monkeypatch.setattr(simred.partition, "_preorder_pair", counting)
     lts = write(tmp_path / "l1.lts", L1_TEXT)
     preorder = write(tmp_path / "pre.rel", "p p\nq q\nr r\np r\n")
     generators = write(tmp_path / "gen.rel", "p r\n")
@@ -456,6 +476,42 @@ def test_preorder_checked_once_per_run(tmp_path, capsys, monkeypatch):
             code, _, _ = run(argv + ["--algo", algo], capsys)
             assert code == 0
             assert len(calls) == checks, argv
+
+
+def test_no_init_path_builds_a_state_relation(tmp_path, capsys, monkeypatch):
+    # a relation file goes to the engine as id arrays and a pair: neither a
+    # dense StateRelation nor a pair's expansion is built on the way
+    from simred.partition import PartitionRelationPair
+
+    lts = write(tmp_path / "l1.lts", L1_TEXT)
+    preorder = write(tmp_path / "pre.rel", "p p\nq q\nr r\np r\n")
+    generators = write(tmp_path / "gen.rel", "p r\nq p\n")
+    intransitive = write(tmp_path / "bad.rel", "p p\nq q\nr r\np q\nq r\n")
+    ta = write(tmp_path / "t1.tmb", T1_TEXT)
+    code, out, _ = run(["ta-down", ta], capsys)
+    assert code == 0
+    downward = write(tmp_path / "down.rel", out)
+    full = write(tmp_path / "full.rel", "q0 q0\nq0 q1\nq1 q0\nq1 q1\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("n x n relation built")
+
+    monkeypatch.setattr(StateRelation, "__init__", refuse)
+    monkeypatch.setattr(PartitionRelationPair, "induced_relation", refuse)
+    rejected = ": initial relation is not a preorder: not transitive: (0,1) and (1,2) present"
+    for algo in ("olrt", "lrt"):
+        for argv, code, err in (
+            (["sim-lts", lts, "--init", preorder], 0, ""),
+            (["sim-lts", lts, "--init", preorder, "--format", "blocks"], 0, ""),
+            (["sim-lts", lts, "--init", generators, "--closure"], 0, ""),
+            (["sim-lts", lts, "--init", generators, "--closure", "--format", "blocks"], 0, ""),
+            (["sim-lts", lts, "--init", intransitive], 3, f"simred: {intransitive}{rejected}"),
+            (["minimize", lts, "--init", generators, "--closure"], 0, "3 "),
+            (["ta-up", ta, "--init", downward], 0, ""),
+            (["ta-up", ta, "--init", full], 3, f"simred: {full}: not a downward simulation"),
+        ):
+            got = run(argv + ["--algo", algo], capsys)
+            assert got[0] == code and got[2].startswith(err), (argv, algo, got)
 
 
 def test_no_cli_path_checks_a_built_pair(tmp_path, capsys, monkeypatch):

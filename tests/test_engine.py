@@ -331,7 +331,7 @@ def _clone_start(k=120, clones=3, seed=3):
     below = ~(out[:, None, :] & ~out[None, :, :]).any(axis=2)
     for u, v in np.argwhere(below & (rng.random((k, k)) < 0.05)):
         gen.add(u * clones, v * clones + 1)
-    return lts, closure_pair(gen)
+    return lts, closure_pair(n, *gen.id_pairs())
 
 
 def _upward_start():

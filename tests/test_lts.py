@@ -9,7 +9,6 @@ from simred import (
     build_lts,
     coarsest_pair,
     is_simulation,
-    out_preorder,
     parse_lts,
     parse_relation,
     quotient,
@@ -19,6 +18,7 @@ from simred import (
 from simred.cli import main
 from simred.generate import random_lts, random_ta
 from simred.tree import downward_translation, serialize_timbuk, upward_translation
+from lts_reference import out_preorder
 
 
 def names(lts, ids):

@@ -8,11 +8,11 @@ from simred import (
     PartitionRelationPair,
     StateRelation,
     coarsest_pair,
-    out_preorder,
     refine_by_out,
 )
 from simred.partition import closure_pair
 from simred.generate import random_lts, random_preorder
+from lts_reference import out_preorder
 
 
 def brute_force_coarsest(rho: StateRelation) -> PartitionRelationPair:
@@ -97,7 +97,7 @@ def test_closure_pair_of_a_long_chain():
     # a recursive component search would overflow the interpreter stack here
     n = 5000
     chain = StateRelation.from_pairs(n, zip(range(n - 1), range(1, n)))
-    pair = closure_pair(chain)
+    pair = closure_pair(n, *chain.id_pairs())
     assert pair.block_count == n
     assert np.array_equal(pair.rel, np.triu(np.ones((n, n), dtype=bool)))
 
@@ -108,9 +108,10 @@ def test_closure_pair_allocates_less_than_the_dense_closure():
     succ = np.arange(1, n + 1) % length + np.arange(n) // length * length
     rel = StateRelation.from_pairs(n, zip(range(n), succ.tolist()))
     rel.matrix[np.arange(0, n - length, length), np.arange(length, n, length)] = True
+    src, dst = rel.id_pairs()
     tracemalloc.start()
     try:
-        pair = closure_pair(rel)
+        pair = closure_pair(n, src, dst)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

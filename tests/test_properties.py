@@ -19,6 +19,7 @@ from simred import (  # noqa: E402
     LtsParseError,
     PartitionError,
     PartitionRelationPair,
+    RelationError,
     StateRelation,
     coarsest_pair,
     downward_translation,
@@ -26,7 +27,6 @@ from simred import (  # noqa: E402
     lrt,
     max_simulation_naive,
     olrt,
-    out_preorder,
     parse_lts,
     parse_relation,
     quotient,
@@ -47,8 +47,8 @@ from simred.tree import (  # noqa: E402
 )
 from simred.generate import random_ta  # noqa: E402
 from simred.lts import IDENTIFIER_RE, build_lts  # noqa: E402
-from simred.partition import closure_pair  # noqa: E402
-from simred.partition import transitivity_witness  # noqa: E402
+from simred.partition import _preorder_pair, closure_pair  # noqa: E402
+from lts_reference import out_preorder  # noqa: E402
 
 small = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
@@ -183,7 +183,8 @@ def test_every_pair_the_package_builds_is_coarsest(parts, data):
     n = lts.state_count
     gen = data.draw(relation_bits(n))
     start = coarsest_pair(gen.reflexive_transitive_closure())
-    pairs = [start, closure_pair(gen), refine_by_out(start, lts), PartitionRelationPair.full(n)]
+    pairs = [start, closure_pair(n, *gen.id_pairs()), refine_by_out(start, lts)]
+    pairs.append(PartitionRelationPair.full(n))
     pairs.append(start.restrict(data.draw(st.integers(0, n))))
     for out_init, restrict_to_in, restrict_remove in itertools.product((True, False), repeat=3):
         state = EngineState(
@@ -385,28 +386,83 @@ def test_a_name_is_accepted_iff_the_text_formats_carry_it(states, symbols, data)
         assert ta[0] is TreeError and ta[2].startswith("invalid ")
 
 
-# -- transitivity check against the full product -------------------------------
+# -- preorder check against the full product ----------------------------------
+
+
+def reference_witness(m):
+    """The first (u, v, w), in row-major order of (u, w), with (u,v) and
+    (v,w) in ``m`` but not (u,w), v least; None if ``m`` is transitive."""
+    f = m.astype(np.int64)
+    bad = np.argwhere(((f @ f) > 0) & ~m)
+    if not len(bad):
+        return None
+    u, w = bad[0].tolist()
+    return u, int(np.flatnonzero(m[u] & m[:, w])[0]), w
 
 
 @small
 @given(st.integers(0, 9).flatmap(
     lambda n: st.lists(st.booleans(), min_size=n * n, max_size=n * n).map(
-        lambda bits: np.array(bits, dtype=bool).reshape(n, n)
+        lambda bits: np.array(bits, dtype=bool).reshape(n, n) | np.eye(n, dtype=bool)
     )
 ))
 @example(np.triu(np.ones((6, 6), dtype=bool)))  # a chain: every inner state a middle
-@example(np.array([[0, 1], [1, 0]], dtype=bool))  # irreflexive: (0,1,0) violates
-@pytest.mark.parametrize("chunk_cells", [1, 1 << 24], ids=["row-chunks", "one-chunk"])
-def test_transitivity_witness_is_the_first_of_the_full_product(chunk_cells, m):
-    f = m.astype(np.int64)
-    bad = np.argwhere(((f @ f) > 0) & ~m)
-    expected = None
-    if len(bad):
-        u, w = bad[0].tolist()
-        expected = (u, int(np.flatnonzero(m[u] & m[:, w])[0]), w)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("simred.partition._PRODUCT_CELLS", chunk_cells)
-        assert transitivity_witness(m) == expected
+@example(np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=bool))  # (0,1,2) violates
+def test_transitivity_witness_is_the_first_of_the_full_product(m):
+    pair, witness = _preorder_pair(len(m), *np.nonzero(m))
+    assert witness == reference_witness(m)
+    assert (pair is None) == (witness is not None)
+
+
+def reference_preorder_message(m):
+    """The rejection message of a relation, from its diagonal and the
+    dense product."""
+    missing = np.flatnonzero(~m.diagonal())
+    if len(missing):
+        return "not reflexive: pair (%d,%d) missing" % (missing[0], missing[0])
+    witness = reference_witness(m)
+    if witness is None:
+        return None
+    return "not transitive: (%d,%d) and (%d,%d) present but (%d,%d) missing" % (
+        witness[0], witness[1], witness[1], witness[2], witness[0], witness[2]
+    )
+
+
+@st.composite
+def near_preorders(draw):
+    """A relation drawn as it is, made reflexive, closed, or closed and then
+    short of one pair."""
+    n = draw(st.integers(0, 8))
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    m = np.array(bits, dtype=bool).reshape(n, n)
+    kind = draw(st.sampled_from(["as drawn", "reflexive", "closed", "closed minus one"]))
+    if kind == "reflexive":
+        m |= np.eye(n, dtype=bool)
+    elif kind != "as drawn":
+        m = dense_closure(n, np.argwhere(m).tolist())
+        if kind == "closed minus one" and n:
+            u, v = draw(st.sampled_from(np.argwhere(m).tolist()))
+            m[u, v] = False
+    return m
+
+
+@small
+@given(near_preorders())
+@example(np.ones((4, 4), dtype=bool))  # the full relation's shortcut
+@example(~np.eye(3, k=2, dtype=bool))  # all pairs but (0,2): (0,1,2) violates
+def test_preorder_check_accepts_exactly_the_closed_relations(m):
+    n = len(m)
+    rel = StateRelation(m)
+    expected = reference_preorder_message(m)
+    assert (expected is None) == np.array_equal(m, dense_closure(n, np.argwhere(m).tolist()))
+    assert rel.preorder_violation() == expected
+    try:
+        pair = coarsest_pair(rel)
+    except RelationError as exc:
+        assert str(exc) == f"initial relation is not a preorder: {expected}"
+    else:
+        assert expected is None
+        assert pair.induced_relation() == rel
 
 
 def reference_validate_message(rel):
@@ -473,7 +529,7 @@ def test_closure_pair_is_coarsest_pair_of_dense_closure(case):
     n, pairs = case
     rel = StateRelation.from_pairs(n, pairs)
     closed = StateRelation(dense_closure(n, pairs))
-    assert closure_pair(rel) == coarsest_pair(closed)
+    assert closure_pair(n, *rel.id_pairs()) == coarsest_pair(closed)
     assert rel.reflexive_transitive_closure() == closed
 
 
@@ -587,7 +643,7 @@ def test_serialize_relation_matches_sorted_lines(names, data):
     states = SimpleNamespace(state_names=tuple(names))
     # a StateRelation as it is, and the pair of its closure block by block
     closure = rel.reflexive_transitive_closure()
-    for written, reference in ((rel, rel), (closure_pair(rel), closure)):
+    for written, reference in ((rel, rel), (closure_pair(n, *rel.id_pairs()), closure)):
         lines = sorted(f"{names[u]} {names[v]}" for u, v in reference.pairs())
         expected = "\n".join(lines) + "\n" if lines else ""
         assert serialize_relation(written, states) == expected
